@@ -30,7 +30,7 @@ INGEST_MIN_SPEEDUP ?= $(shell n=$$(nproc 2>/dev/null || echo 1); \
 FUZZ_TARGETS := FuzzReadFrameCSV:. FuzzReadFrameBinary:. FuzzLoadIndex:. \
 	FuzzConfigCheck:./internal/dram
 
-.PHONY: all build vet lint lint-syntactic test race fuzz sanitize trace-demo serve-demo chaos-demo slo-demo bench-hot bench-ingest bench-ingest-baseline ci clean
+.PHONY: all build vet lint lint-syntactic test race fuzz sanitize anchors trace-demo serve-demo chaos-demo slo-demo bench-hot bench-ingest bench-ingest-baseline ci clean
 
 all: build
 
@@ -79,6 +79,23 @@ sanitize:
 	$(GO) test -tags "quicknn_sanitize quicknn_faults" -race ./internal/serve/...
 	$(GO) run ./cmd/quicknnlint -tags quicknn_sanitize ./...
 	$(GO) run ./cmd/quicknnlint -tags quicknn_faults ./...
+
+## anchors: run every experiment at full scale and diff the output
+## against the recorded docs/results-full.txt — the paper anchors
+## (EXPERIMENTS.md). Only the host-timed parts are masked: the
+## "completed in" footers and annbench's Queries/s column. The
+## quick-scale golden test in cmd/benchtables (part of `make test`)
+## masks the same way.
+ANCHOR_MASK = sed -E -e 's/ completed in [^]]*\]/ completed]/' \
+	-e '/^Method \/ operating point/,/^\(/{/^(Method|\()/!s/[0-9]+ *$$/-/}'
+
+anchors:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/benchtables -exp all > "$$dir/full.txt" && \
+	$(ANCHOR_MASK) docs/results-full.txt > "$$dir/want.txt" && \
+	$(ANCHOR_MASK) "$$dir/full.txt" > "$$dir/got.txt" && \
+	diff -u "$$dir/want.txt" "$$dir/got.txt" && \
+	echo "anchors: OK (full run matches docs/results-full.txt)"
 
 ## trace-demo: end-to-end observability smoke — run a small simulated
 ## drive, validate the Perfetto trace it emits, and check that the
@@ -194,7 +211,7 @@ bench-ingest-baseline:
 	@echo "bench-ingest-baseline: OK (testdata/bench/ingest_baseline.txt written)"
 
 ## ci: everything the pipeline runs, in order.
-ci: build vet lint test race sanitize fuzz trace-demo serve-demo chaos-demo slo-demo
+ci: build vet lint test race sanitize fuzz anchors trace-demo serve-demo chaos-demo slo-demo
 
 clean:
 	$(GO) clean ./...

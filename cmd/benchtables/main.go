@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,26 +74,35 @@ func main() {
 		}
 	}
 
+	if err := run(os.Stdout, selected, opts, *mdir); err != nil {
+		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run executes the selected experiments in order, writing each table and
+// its "[id completed in d]" footer to w. With mdir set, a fresh metrics
+// sink per experiment is dumped to <mdir>/<id>.prom.
+func run(w io.Writer, selected []bench.Experiment, opts bench.Options, mdir string) error {
 	for _, e := range selected {
 		runOpts := opts
-		if *mdir != "" {
+		if mdir != "" {
 			// Fresh sink per experiment: the snapshot next to a table
 			// describes that table only.
 			runOpts.Obs = obs.NewSink("benchtables/" + e.ID)
 		}
 		start := time.Now()
-		if err := bench.RunExperiment(e, os.Stdout, runOpts); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", e.ID, err)
-			os.Exit(1)
+		if err := bench.RunExperiment(e, w, runOpts); err != nil {
+			return fmt.Errorf("%s: %v", e.ID, err)
 		}
-		if *mdir != "" {
-			if err := writeMetrics(filepath.Join(*mdir, e.ID+".prom"), runOpts.Obs); err != nil {
-				fmt.Fprintf(os.Stderr, "benchtables: %s: %v\n", e.ID, err)
-				os.Exit(1)
+		if mdir != "" {
+			if err := writeMetrics(filepath.Join(mdir, e.ID+".prom"), runOpts.Obs); err != nil {
+				return fmt.Errorf("%s: %v", e.ID, err)
 			}
 		}
-		fmt.Printf("[%s completed in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "[%s completed in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }
 
 // writeMetrics dumps the sink's registry in Prometheus text format.
