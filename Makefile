@@ -30,7 +30,7 @@ INGEST_MIN_SPEEDUP ?= $(shell n=$$(nproc 2>/dev/null || echo 1); \
 FUZZ_TARGETS := FuzzReadFrameCSV:. FuzzReadFrameBinary:. FuzzLoadIndex:. \
 	FuzzConfigCheck:./internal/dram
 
-.PHONY: all build vet lint lint-syntactic test race fuzz sanitize anchors trace-demo serve-demo chaos-demo slo-demo bench-hot bench-ingest bench-ingest-baseline ci clean
+.PHONY: all build vet lint lint-syntactic test race fuzz sanitize anchors perfbench-smoke trace-demo serve-demo chaos-demo slo-demo bench-hot bench-ingest bench-ingest-baseline ci clean
 
 all: build
 
@@ -70,12 +70,11 @@ fuzz:
 		$(GO) test -run '^$$' -fuzz "^$$name$$" -fuzztime $(FUZZTIME) "$$pkg" || exit 1; \
 	done
 
-## sanitize: build and test the runtime sanitizers — the epoch-snapshot
-## lifecycle checker (internal/serve) and the arena lockstep checker
-## (internal/kdtree) — under the race detector, then lint the
-## tag-gated sources the default build excludes (docs/lint.md).
+## sanitize: build and test the runtime sanitizer — the epoch-snapshot
+## lifecycle checker (internal/serve) — under the race detector, then
+## lint the tag-gated sources the default build excludes (docs/lint.md).
 sanitize:
-	$(GO) test -tags quicknn_sanitize -race ./internal/serve/... ./internal/kdtree/...
+	$(GO) test -tags quicknn_sanitize -race ./internal/serve/...
 	$(GO) test -tags "quicknn_sanitize quicknn_faults" -race ./internal/serve/...
 	$(GO) run ./cmd/quicknnlint -tags quicknn_sanitize ./...
 	$(GO) run ./cmd/quicknnlint -tags quicknn_faults ./...
@@ -96,6 +95,12 @@ anchors:
 	$(ANCHOR_MASK) "$$dir/full.txt" > "$$dir/got.txt" && \
 	diff -u "$$dir/want.txt" "$$dir/got.txt" && \
 	echo "anchors: OK (full run matches docs/results-full.txt)"
+
+## perfbench-smoke: the end-to-end benchmark's own test suite — a
+## short run of every workload with answer checking, in the separate
+## perfbench module (perfbench/README.md, docs/performance.md).
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
 
 ## trace-demo: end-to-end observability smoke — run a small simulated
 ## drive, validate the Perfetto trace it emits, and check that the
@@ -211,7 +216,7 @@ bench-ingest-baseline:
 	@echo "bench-ingest-baseline: OK (testdata/bench/ingest_baseline.txt written)"
 
 ## ci: everything the pipeline runs, in order.
-ci: build vet lint test race sanitize fuzz anchors trace-demo serve-demo chaos-demo slo-demo
+ci: build vet lint test race sanitize fuzz anchors perfbench-smoke trace-demo serve-demo chaos-demo slo-demo
 
 clean:
 	$(GO) clean ./...

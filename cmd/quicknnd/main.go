@@ -45,7 +45,7 @@ func main() {
 		batch      = flag.Int("batch", 64, "max queries coalesced into one batch")
 		window     = flag.Duration("window", 2*time.Millisecond, "max micro-batch gather window")
 		workers    = flag.Int("workers", 0, "batch worker budget (0 = GOMAXPROCS)")
-		ingestW    = flag.Int("ingest-workers", 0, "frame-ingest worker budget (0 = GOMAXPROCS, 1 = serial)")
+		ingestW    = flag.Int("ingest-workers", 0, "frame-ingest worker budget (0 = GOMAXPROCS, 1 = one worker)")
 		seed       = flag.Int64("seed", 1, "subsample RNG seed")
 		mode       = flag.String("maintenance", "rebuild", "frame maintenance: rebuild|static|incremental")
 		readyFile  = flag.String("ready-file", "", "write the base URL here once listening")

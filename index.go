@@ -45,11 +45,11 @@ func WithSampleSize(n int) Option { return func(o *indexOptions) { o.sampleSize 
 func WithSeed(seed int64) Option { return func(o *indexOptions) { o.seed = seed } }
 
 // WithParallelism bounds the ingest worker count used by Build, Update and
-// UpdateStatic: 0 (the default) resolves to GOMAXPROCS at use time, 1 pins
-// the exact serial path, and n > 1 caps the fan-out at n goroutines. Every
-// setting produces a byte-identical index — same arena layout, same query
-// answers — so the knob trades only wall time, never results. Negative
-// values are rejected with ErrInvalidOptions.
+// UpdateStatic: 0 (the default) resolves to GOMAXPROCS at use time, 1 = one
+// worker (every phase inline on the caller), and n > 1 caps the fan-out at
+// n goroutines. Every setting produces a byte-identical index — same
+// arena layout, same query answers — so the knob trades only wall time,
+// never results. Negative values are rejected with ErrInvalidOptions.
 func WithParallelism(n int) Option { return func(o *indexOptions) { o.parallelism = n } }
 
 // Index is a bucketed k-d tree over a reference point cloud, the data
@@ -199,8 +199,8 @@ func (ix *Index) UpdateStatic(points []Point) {
 }
 
 // SetParallelism adjusts the ingest worker budget after construction,
-// snapshotting, or loading: 0 restores the GOMAXPROCS default, 1 pins the
-// serial path, negative values are treated as 0. Parallelism is not
+// snapshotting, or loading: 0 restores the GOMAXPROCS default, 1 = one
+// worker, negative values are treated as 0. Parallelism is not
 // persisted by WriteTo, so loaded indexes start at the default.
 func (ix *Index) SetParallelism(n int) { ix.tree.SetParallelism(n) }
 
@@ -254,11 +254,13 @@ func LoadIndex(r io.Reader) (*Index, error) {
 	ref := make([]Point, n)
 	seen := make([]bool, n)
 	var loadErr error
+	var pts []Point
 	tree.Buckets(func(id int32, b *kdtree.Bucket) {
 		if loadErr != nil {
 			return
 		}
-		pts, ids := tree.BucketPoints(id), tree.BucketIndices(id)
+		pts = tree.AppendBucketPoints(pts[:0], id)
+		ids := tree.BucketIndices(id)
 		for i, idx32 := range ids {
 			idx := int(idx32)
 			if idx < 0 || idx >= n {

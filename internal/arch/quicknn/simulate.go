@@ -356,6 +356,8 @@ type tsearch struct {
 	tb      *tbuild
 	rep     *Report
 
+	bucketPts []geom.Point // the flushed bucket's points, reused per flush
+
 	t           int64
 	next        int
 	done        bool
@@ -522,6 +524,7 @@ func (s *tsearch) computeResults(f gather.Flush) {
 	if bk == nil {
 		return
 	}
+	s.bucketPts = s.tree.AppendBucketPoints(s.bucketPts[:0], f.Bucket)
 	for base := 0; base < len(f.Items); base += s.cfg.FUs {
 		end := base + s.cfg.FUs
 		if end > len(f.Items) {
@@ -534,7 +537,7 @@ func (s *tsearch) computeResults(f gather.Flush) {
 			ids[i] = int(qi)
 		}
 		s.bank.Load(qs, ids)
-		s.bank.Stream(s.tree.BucketPoints(f.Bucket), s.tree.BucketIndices(f.Bucket))
+		s.bank.Stream(s.bucketPts, s.tree.BucketIndices(f.Bucket))
 		for _, r := range s.bank.Flush() {
 			s.rep.Results[r.QueryID] = r.Neighbors
 		}

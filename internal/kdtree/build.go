@@ -24,9 +24,8 @@ func Build(points []geom.Point, cfg Config, rng *rand.Rand) *Tree {
 // BuildStructure runs only the first construction phase — sampling and
 // split creation — leaving every bucket empty. The architecture simulator
 // uses it so that point placement can be driven (and timed) explicitly.
-// With Config.Parallelism != 1 the split recursion fans out across
-// subtrees (ingest.go); the resulting structure is byte-identical to the
-// serial build for any worker count.
+// The split recursion fans out across subtrees (ingest.go); the resulting
+// structure is byte-identical for any worker count.
 func BuildStructure(points []geom.Point, cfg Config, rng *rand.Rand) *Tree {
 	if len(points) == 0 {
 		panic("kdtree: Build requires at least one point")
@@ -37,37 +36,13 @@ func BuildStructure(points []geom.Point, cfg Config, rng *rand.Rand) *Tree {
 	sw := obs.StartStopwatch()
 	sc := getSampleScratch()
 	sample := samplePointsInto(sc, points, cfg.SampleSize, rng)
-	if workers > 1 && len(sample) >= parallelBuildMin {
-		t.root = t.buildSplitsParallel(sample, workers)
-	} else {
+	if len(sample) < parallelBuildMin {
 		workers = 1
-		t.root = t.buildSplits(sample, geom.AxisX, 0, nilIdx)
 	}
+	t.root = t.fanSplits(sample, workers)
 	putSampleScratch(sc)
 	t.lastIngest = IngestTiming{SplitsSeconds: sw.Seconds(), Workers: workers}
 	return t
-}
-
-// buildSplits recursively creates the split structure over the sample and
-// returns the subtree root. Leaves get empty buckets; Place fills them.
-func (t *Tree) buildSplits(sample []geom.Point, axis geom.Axis, depth int, parent int32) int32 {
-	idx := t.node()
-	t.nodes[idx].Parent = parent
-	if depth >= t.cfg.MaxDepth || len(sample) < t.cfg.MinSamplePoints {
-		t.nodes[idx].Bucket = t.bucket(idx)
-		return idx
-	}
-	splitAxis, threshold, lo, hi, ok := chooseSplit(pointSet{pts: sample}, axis)
-	if !ok {
-		// Degenerate sample (all points identical): make a leaf.
-		t.nodes[idx].Bucket = t.bucket(idx)
-		return idx
-	}
-	t.nodes[idx].Axis = splitAxis
-	t.nodes[idx].Threshold = threshold
-	t.nodes[idx].Left = t.buildSplits(lo.pts, splitAxis.Next(), depth+1, idx)
-	t.nodes[idx].Right = t.buildSplits(hi.pts, splitAxis.Next(), depth+1, idx)
-	return idx
 }
 
 // pointSet is a point slice with (optionally) the points' indices in the
@@ -223,10 +198,10 @@ func (t *Tree) Insert(p geom.Point, index int) int32 {
 // mode). Indices are positions within the given slice. Bucket spans grown
 // during placement retire their old arena slots; Place compacts the arena
 // afterwards if the holes came to dominate.
-// With Config.Parallelism != 1 and a large enough frame, Place runs as
-// a two-phase plan/scatter (ingest.go) — a parallel read-only
-// leaf-assignment pass plus concurrent leaf-disjoint arena fills — that
-// reproduces this loop's arena layout byte for byte.
+// Place runs as a two-phase plan/scatter (ingest.go) — a read-only
+// leaf-assignment pass plus leaf-disjoint arena fills, both fanned over
+// the ingest workers — that lays every live span out exactly where
+// inserting the points one by one (Insert) would.
 func (t *Tree) Place(points []geom.Point) {
 	t.lastIngest = IngestTiming{}
 	t.placeInto(points)
@@ -236,18 +211,11 @@ func (t *Tree) Place(points []geom.Point) {
 // (Build, UpdateFrame) accumulate placement timings next to their other
 // phases.
 func (t *Tree) placeInto(points []geom.Point) {
-	defer t.arenaCheckpoint("Place")
 	workers := t.ingestWorkers()
-	sw := obs.StartStopwatch()
-	if workers <= 1 || len(points) < parallelPlaceMin {
-		t.lastIngest.Workers = 1
-		for i, p := range points {
-			t.Insert(p, i)
-		}
-		t.lastIngest.PlaceSeconds = sw.Seconds()
-		t.maybeCompact()
-		return
+	if len(points) < parallelPlaceMin {
+		workers = 1
 	}
+	sw := obs.StartStopwatch()
 	t.lastIngest.Workers = workers
 	pl := getPlacePlan()
 	vlen, holes := t.planPlace(points, pl, workers)
@@ -266,7 +234,6 @@ func (t *Tree) placeInto(points []geom.Point) {
 // buckets are refilled each frame. Arena spans keep their capacity, so
 // re-placing a same-shaped frame touches no allocator at all.
 func (t *Tree) ResetBuckets() {
-	defer t.arenaCheckpoint("ResetBuckets")
 	for i := range t.buckets {
 		if t.buckets[i].live {
 			t.buckets[i].n = 0

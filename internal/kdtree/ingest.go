@@ -9,25 +9,26 @@ import (
 	"github.com/quicknn/quicknn/internal/geom"
 )
 
-// This file is the parallel ingest engine (docs/performance.md): the
-// plan/scatter Place path, the subtree-fanned structure build, and the
-// shared worker/scratch machinery they and the phased Rebalance
-// (update.go) run on. Every parallel path here is a determinism-
-// preserving reorganization of the corresponding serial algorithm: for
-// any worker count the resulting tree — node and bucket numbering, free
-// lists, arena layout including holes, coordinate shadow — is
-// byte-identical to what the serial code produces, so query answers
-// (down to tie-breaks, which depend on bucket scan order) cannot change
-// with Parallelism. Workers only ever touch disjoint state: read-only
+// This file is the ingest engine (docs/performance.md): the plan/scatter
+// Place, the subtree-fanned structure build, and the shared worker and
+// scratch machinery they and the phased Rebalance (update.go) run on.
+// It is the only ingest path; at one worker every fan-out runs inline on
+// the caller. For any worker count the resulting tree — node and bucket
+// numbering, free lists, hole count, every live arena span — is
+// byte-identical to what the one-at-a-time reference algorithms produce
+// (recursive splits, Insert per point, one rebuild at a time; kept as the
+// test oracle in reference_test.go), so query answers (down to
+// tie-breaks, which depend on bucket scan order) cannot change with
+// Parallelism. Workers only ever touch disjoint state: read-only
 // traversals in the plan phases, leaf-disjoint arena spans in the
 // scatter phase, and privately staged node arrays everywhere a subtree
 // is built; all allocation and free-list traffic stays on the calling
-// goroutine, replayed in serial order.
+// goroutine, in reference order.
 
 // IngestTiming is the phase breakdown of the most recent ingest
 // operation on a tree: structure build (sampling + splits), point
 // placement (split into the read-only planning pass and the arena
-// scatter when the parallel path ran), and rebalancing. A composite
+// scatter), and rebalancing. A composite
 // operation (Build, UpdateFrame) reports every phase it ran; phases the
 // operation does not have stay zero.
 type IngestTiming struct {
@@ -36,7 +37,7 @@ type IngestTiming struct {
 	SplitsSeconds float64
 	// PlanSeconds and ScatterSeconds split PlaceSeconds into the
 	// read-only leaf-assignment/layout-planning pass and the arena
-	// fill; both are zero when the serial per-point path ran.
+	// fill.
 	PlanSeconds    float64
 	ScatterSeconds float64
 	// PlaceSeconds covers point placement end to end.
@@ -52,8 +53,8 @@ type IngestTiming struct {
 func (t *Tree) LastIngest() IngestTiming { return t.lastIngest }
 
 // SetParallelism adjusts the ingest worker budget after construction,
-// cloning, or deserialization: 0 restores the GOMAXPROCS default, 1
-// pins the serial algorithms. Any setting yields byte-identical trees.
+// cloning, or deserialization: 0 restores the GOMAXPROCS default, 1 =
+// one worker. Any setting yields byte-identical trees.
 func (t *Tree) SetParallelism(n int) {
 	if n < 0 {
 		n = 0
@@ -72,13 +73,13 @@ func (t *Tree) ingestWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Parallel-path admission thresholds: below these sizes the fan-out
-// overhead (goroutine handoff, plan buffers) outweighs the win and the
-// serial code runs even when more workers are available.
+// Fan-out thresholds: below these sizes the goroutine handoff outweighs
+// the win, so the phase runs at one worker even when more are available.
 const (
-	// parallelPlaceMin is the minimum frame size for plan/scatter Place.
+	// parallelPlaceMin is the minimum frame size for a multi-worker Place.
 	parallelPlaceMin = 2048
-	// parallelBuildMin is the minimum sample size for the fanned build.
+	// parallelBuildMin is the minimum sample size for a multi-worker
+	// structure build.
 	parallelBuildMin = 256
 	// planChunk is the leaf-assignment work-unit size: big enough that
 	// the atomic cursor is cold, small enough to balance skewed frames.
@@ -212,9 +213,8 @@ func samplePointsInto(sc *sampleScratch, points []geom.Point, n int, rng *rand.R
 
 // placePlan is the pooled workspace of plan/scatter Place: the per-point
 // leaf assignment, the counting-sort grouping of points by destination
-// bucket, the simulated final layout of every bucket span, and the
-// growth events (vacated spans) the simulation predicts. All slices are
-// length-managed by sized32, so a warm plan allocates nothing.
+// bucket, and the simulated final layout of every bucket span. All
+// slices are length-managed by sized32, so a warm plan allocates nothing.
 type placePlan struct {
 	leaf   []int32 // per point: destination bucket id
 	starts []int32 // per bucket: group start in order (len nb+1)
@@ -226,16 +226,6 @@ type placePlan struct {
 	vOff []int32 // per bucket: simulated final span offset
 	vCap []int32 // per bucket: simulated final span capacity
 	vN   []int32 // per bucket: simulated final occupancy
-
-	// Growth events in simulation order: the span bucket evBkt[e]
-	// vacates when it relocates, as {offset, capacity}. evStart/evCursor/
-	// evOrder group the events by bucket for the scatter shards.
-	evBkt    []int32
-	evOff    []int32
-	evCap    []int32
-	evStart  []int32
-	evCursor []int32
-	evOrder  []int32
 }
 
 var placePlanPool = sync.Pool{New: func() interface{} { return new(placePlan) }}
@@ -243,14 +233,14 @@ var placePlanPool = sync.Pool{New: func() interface{} { return new(placePlan) }}
 func getPlacePlan() *placePlan   { return placePlanPool.Get().(*placePlan) }
 func putPlacePlan(pl *placePlan) { placePlanPool.Put(pl) }
 
-// planPlace is the read-only half of parallel Place. It assigns every
-// point its destination bucket (fanned over workers — tree and arena
-// are not written), groups the points per bucket with a stable counting
-// sort, and then replays, serially and in input order, the exact
-// bucketAppend/growBucket arithmetic the serial loop would execute:
-// which buckets relocate where, which spans they vacate, and how far
-// the arena tail grows. It returns the simulated final arena length and
-// the retired-slot count.
+// planPlace is the read-only half of Place. It assigns every point its
+// destination bucket (fanned over workers — tree and arena are not
+// written), groups the points per bucket with a stable counting sort,
+// and then replays, in input order, the bucketAppend/growBucket
+// arithmetic that inserting the points one by one would execute: which
+// buckets relocate where, how many slots they retire, and how far the
+// arena tail grows. It returns the simulated final arena length and the
+// retired-slot count.
 func (t *Tree) planPlace(points []geom.Point, pl *placePlan, workers int) (vlen int32, holes int) {
 	n := len(points)
 	nb := len(t.buckets)
@@ -263,9 +253,6 @@ func (t *Tree) planPlace(points []geom.Point, pl *placePlan, workers int) (vlen 
 	pl.vOff = sized32(pl.vOff, nb)
 	pl.vCap = sized32(pl.vCap, nb)
 	pl.vN = sized32(pl.vN, nb)
-	pl.evBkt = pl.evBkt[:0]
-	pl.evOff = pl.evOff[:0]
-	pl.evCap = pl.evCap[:0]
 
 	// Leaf assignment: chunked read-only descents. The single-worker
 	// path avoids the closure so a warm plan stays allocation-free.
@@ -316,99 +303,42 @@ func (t *Tree) planPlace(points []geom.Point, pl *placePlan, workers int) (vlen 
 		pl.oOff[b], pl.oN[b] = bk.off, bk.n
 		pl.vOff[b], pl.vCap[b], pl.vN[b] = bk.off, bk.cap, bk.n
 	}
-	vlen = int32(len(t.arenaPts))
+	vlen = int32(len(t.arenaIdx))
 	for i := 0; i < n; i++ {
 		b := pl.leaf[i]
 		if pl.vN[b] == pl.vCap[b] {
-			if pl.vCap[b] > 0 {
-				pl.evBkt = append(pl.evBkt, b)
-				pl.evOff = append(pl.evOff, pl.vOff[b])
-				pl.evCap = append(pl.evCap, pl.vCap[b])
-				holes += int(pl.vCap[b])
-			}
-			newCap := pl.vCap[b] * 2
-			if newCap < 8 {
-				newCap = 8
-			}
+			holes += int(pl.vCap[b])
+			newCap := max(pl.vCap[b]*2, 8)
 			pl.vOff[b] = vlen
 			pl.vCap[b] = newCap
 			vlen += newCap
 		}
 		pl.vN[b]++
 	}
-
-	// Group the events by bucket so each scatter shard can replay its
-	// own bucket's vacated spans.
-	ne := len(pl.evBkt)
-	pl.evStart = sized32(pl.evStart, nb+1)
-	pl.evCursor = sized32(pl.evCursor, nb)
-	pl.evOrder = sized32(pl.evOrder, ne)
-	for b := 0; b <= nb; b++ {
-		pl.evStart[b] = 0
-	}
-	for e := 0; e < ne; e++ {
-		pl.evStart[pl.evBkt[e]+1]++
-	}
-	for b := 0; b < nb; b++ {
-		pl.evStart[b+1] += pl.evStart[b]
-		pl.evCursor[b] = pl.evStart[b]
-	}
-	for e := 0; e < ne; e++ {
-		b := pl.evBkt[e]
-		pl.evOrder[pl.evCursor[b]] = int32(e)
-		pl.evCursor[b]++
-	}
 	return vlen, holes
 }
 
 // scatterPlace materializes the planned layout: one bulk arena
 // extension, then per-bucket shards that fill each final span — prior
-// content first, then the bucket's new points in input order — and
-// replay the vacated spans' contents, reproducing the serial arena byte
-// for byte, holes included (a vacated span's serial leftover is exactly
-// the full-span prefix of the bucket's final content at the moment it
-// relocated). Shards write pairwise-disjoint slots — final spans are
-// disjoint by construction and every vacated span belongs to exactly
-// one bucket — so they run concurrently. Bucket metadata and hole
-// accounting commit serially afterwards.
+// content first, then the bucket's new points in input order. Final
+// spans are pairwise disjoint by construction, so shards run
+// concurrently. Vacated spans are only counted as holes; nothing reads
+// a hole slot, so they keep whatever they held. Bucket metadata and hole
+// accounting commit on the caller afterwards.
 func (t *Tree) scatterPlace(points []geom.Point, pl *placePlan, vlen int32, holes, workers int) {
-	if grow := vlen - int32(len(t.arenaPts)); grow > 0 {
+	if grow := vlen - int32(len(t.arenaIdx)); grow > 0 {
 		t.arenaReserve(grow)
 	}
 	nb := len(t.buckets)
-	runTasks(workers, nb, func(b int) {
-		group := pl.order[pl.starts[b]:pl.starts[b+1]]
-		off, n0 := pl.vOff[b], pl.oN[b]
-		if len(group) == 0 && off == pl.oOff[b] {
-			return
+	// One worker runs the shards without the closure, so a warm Place
+	// allocates nothing.
+	if workers <= 1 {
+		for b := 0; b < nb; b++ {
+			t.scatterBucket(points, pl, b)
 		}
-		if off != pl.oOff[b] && n0 > 0 {
-			src := pl.oOff[b]
-			copy(t.arenaPts[off:off+n0], t.arenaPts[src:src+n0])
-			copy(t.arenaIdx[off:off+n0], t.arenaIdx[src:src+n0])
-			copy(t.arenaX[off:off+n0], t.arenaX[src:src+n0])
-			copy(t.arenaY[off:off+n0], t.arenaY[src:src+n0])
-			copy(t.arenaZ[off:off+n0], t.arenaZ[src:src+n0])
-		}
-		w := off + n0
-		for _, pi := range group {
-			p := points[pi]
-			t.arenaPts[w] = p
-			t.arenaIdx[w] = pi
-			t.arenaX[w] = float64(p.X)
-			t.arenaY[w] = float64(p.Y)
-			t.arenaZ[w] = float64(p.Z)
-			w++
-		}
-		for _, e := range pl.evOrder[pl.evStart[b]:pl.evStart[b+1]] {
-			c, eo := pl.evCap[e], pl.evOff[e]
-			copy(t.arenaPts[eo:eo+c], t.arenaPts[off:off+c])
-			copy(t.arenaIdx[eo:eo+c], t.arenaIdx[off:off+c])
-			copy(t.arenaX[eo:eo+c], t.arenaX[off:off+c])
-			copy(t.arenaY[eo:eo+c], t.arenaY[off:off+c])
-			copy(t.arenaZ[eo:eo+c], t.arenaZ[off:off+c])
-		}
-	})
+	} else {
+		runTasks(workers, nb, func(b int) { t.scatterBucket(points, pl, b) })
+	}
 	for b := 0; b < nb; b++ {
 		bk := &t.buckets[b]
 		if !bk.live {
@@ -417,6 +347,21 @@ func (t *Tree) scatterPlace(points []geom.Point, pl *placePlan, vlen int32, hole
 		bk.off, bk.n, bk.cap = pl.vOff[b], pl.vN[b], pl.vCap[b]
 	}
 	t.arenaHole += holes
+}
+
+// scatterBucket fills bucket b's planned final span: its prior content
+// (moved when the bucket relocates), then its new points in input order.
+func (t *Tree) scatterBucket(points []geom.Point, pl *placePlan, b int) {
+	group := pl.order[pl.starts[b]:pl.starts[b+1]]
+	off, n0 := pl.vOff[b], pl.oN[b]
+	if off != pl.oOff[b] && n0 > 0 {
+		t.arenaMove(off, pl.oOff[b], n0)
+	}
+	w := off + n0
+	for _, pi := range group {
+		t.arenaSet(w, points[pi], pi)
+		w++
+	}
 }
 
 // stagedNode is one node of a privately staged subtree (the fanned
@@ -442,36 +387,29 @@ type splitTask struct {
 	root   int32
 }
 
-// fanDepth is the depth at which the parallel structure build hands
-// subtrees to workers: cfg.FanDepth when set, else the shallowest level
-// with at least 4 subtrees per worker (over-decomposition absorbs the
-// skew of uneven median splits), clamped to the configured depth cap.
+// fanDepth is the depth at which the structure build hands subtrees to
+// workers: the shallowest level with at least 4 subtrees per worker
+// (over-decomposition absorbs the skew of uneven median splits),
+// clamped to the configured depth cap.
 func (t *Tree) fanDepth(workers int) int {
-	fd := t.cfg.FanDepth
-	if fd <= 0 {
-		fd = 1
-		for 1<<uint(fd) < 4*workers && fd < 16 {
-			fd++
-		}
+	fd := 1
+	for 1<<uint(fd) < 4*workers && fd < 16 {
+		fd++
 	}
-	if fd > t.cfg.MaxDepth {
-		fd = t.cfg.MaxDepth
-	}
-	if fd < 1 {
-		fd = 1
-	}
-	return fd
+	return max(min(fd, t.cfg.MaxDepth), 1)
 }
 
-// buildSplitsParallel is buildSplits with the recursion fanned out at
-// fanDepth: a serial descent over the top of the tree produces disjoint
-// frontier tasks, workers stage each task's subtree into a private node
-// array (chooseSplit sorts disjoint sample sub-slices in place, so
-// tasks never touch shared memory), and a serial preorder stitch emits
-// the staged nodes through t.node()/t.bucket() — the exact allocation
-// order the serial recursion uses, so node and bucket numbering come
-// out identical for any worker count.
-func (t *Tree) buildSplitsParallel(sample []geom.Point, workers int) int32 {
+// fanSplits creates the split structure over the sample and returns its
+// root. Leaves get empty buckets; Place fills them. The recursion fans
+// out at fanDepth: a descent on the caller over the top of the tree
+// produces disjoint frontier tasks, workers stage each task's subtree
+// into a private node array (chooseSplit sorts disjoint sample
+// sub-slices in place, so tasks never touch shared memory), and a
+// preorder stitch on the caller emits the staged nodes through
+// t.node()/t.bucket() — the allocation order of a plain recursive
+// build, so node and bucket numbering come out identical for any
+// worker count.
+func (t *Tree) fanSplits(sample []geom.Point, workers int) int32 {
 	fan := t.fanDepth(workers)
 	var top []stagedNode
 	var tasks []splitTask
@@ -539,8 +477,8 @@ func (t *Tree) buildSplitsParallel(sample []geom.Point, workers int) int32 {
 	return emitTop(rootRef, nilIdx)
 }
 
-// stageSplits is buildSplits against a private staged array: identical
-// leaf conditions and chooseSplit calls, no tree mutation.
+// stageSplits is the recursive split build against a private staged
+// array: leaf conditions and chooseSplit calls, no tree mutation.
 func stageSplits(nodes *[]stagedNode, s []geom.Point, axis geom.Axis, depth int, cfg Config) int32 {
 	si := int32(len(*nodes))
 	*nodes = append(*nodes, stagedNode{})

@@ -14,11 +14,11 @@ import (
 // the fitted ground plane removed (~30-40k obstacle returns). Two poses
 // a short drive apart give the frame-to-frame benchmark a realistic
 // bucket drift. `make bench-ingest` compares the default-parallelism
-// run against the checked-in serial (-cpu 1) baseline and gates the
+// run against the checked-in one-worker (-cpu 1) baseline and gates the
 // speedup via cmd/benchjson (docs/performance.md).
 //
-// The *Serial variants pin Config.Parallelism=1 inside the same run, so
-// parallel-vs-serial is also visible without the baseline file.
+// The *OneWorker variants pin Config.Parallelism=1 inside the same run,
+// so the fan-out's gain is also visible without the baseline file.
 
 var (
 	ingestFrameOnce sync.Once
@@ -59,8 +59,8 @@ func benchIngestBuild(b *testing.B, parallelism int) {
 
 // BenchmarkIngestBuild is the full two-phase construction (sample +
 // splits + placement) at the default worker count.
-func BenchmarkIngestBuild(b *testing.B)       { benchIngestBuild(b, 0) }
-func BenchmarkIngestBuildSerial(b *testing.B) { benchIngestBuild(b, 1) }
+func BenchmarkIngestBuild(b *testing.B)          { benchIngestBuild(b, 0) }
+func BenchmarkIngestBuildOneWorker(b *testing.B) { benchIngestBuild(b, 1) }
 
 func benchIngestPlace(b *testing.B, parallelism int) {
 	frame := ingestBenchFrame(b, 0)
@@ -75,8 +75,8 @@ func benchIngestPlace(b *testing.B, parallelism int) {
 
 // BenchmarkIngestPlace is the static-tree per-frame work: refill every
 // bucket through the existing splits (plan/scatter when parallel).
-func BenchmarkIngestPlace(b *testing.B)       { benchIngestPlace(b, 0) }
-func BenchmarkIngestPlaceSerial(b *testing.B) { benchIngestPlace(b, 1) }
+func BenchmarkIngestPlace(b *testing.B)          { benchIngestPlace(b, 0) }
+func BenchmarkIngestPlaceOneWorker(b *testing.B) { benchIngestPlace(b, 1) }
 
 func benchIngestRebalance(b *testing.B, parallelism int) {
 	ref := ingestBenchFrame(b, 0)
@@ -98,8 +98,8 @@ func benchIngestRebalance(b *testing.B, parallelism int) {
 
 // BenchmarkIngestRebalance isolates the merge/split pass over a drifted
 // frame placed through stale splits (paper-default bounds).
-func BenchmarkIngestRebalance(b *testing.B)       { benchIngestRebalance(b, 0) }
-func BenchmarkIngestRebalanceSerial(b *testing.B) { benchIngestRebalance(b, 1) }
+func BenchmarkIngestRebalance(b *testing.B)          { benchIngestRebalance(b, 0) }
+func BenchmarkIngestRebalanceOneWorker(b *testing.B) { benchIngestRebalance(b, 1) }
 
 func benchIngestFrame(b *testing.B, parallelism int) {
 	ref := ingestBenchFrame(b, 0)
@@ -118,5 +118,5 @@ func benchIngestFrame(b *testing.B, parallelism int) {
 
 // BenchmarkIngestFrame is the end-to-end incremental frame advance
 // (reset + placement + rebalance), alternating two drifted sweeps.
-func BenchmarkIngestFrame(b *testing.B)       { benchIngestFrame(b, 0) }
-func BenchmarkIngestFrameSerial(b *testing.B) { benchIngestFrame(b, 1) }
+func BenchmarkIngestFrame(b *testing.B)          { benchIngestFrame(b, 0) }
+func BenchmarkIngestFrameOneWorker(b *testing.B) { benchIngestFrame(b, 1) }

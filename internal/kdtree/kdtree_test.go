@@ -61,7 +61,7 @@ func TestBuildPlacesEveryPoint(t *testing.T) {
 	// Every original index appears exactly once.
 	seen := make([]bool, len(pts))
 	tree.Buckets(func(id int32, _ *Bucket) {
-		bp, bi := tree.BucketPoints(id), tree.BucketIndices(id)
+		bp, bi := tree.AppendBucketPoints(nil, id), tree.BucketIndices(id)
 		for j, idx := range bi {
 			if seen[idx] {
 				t.Fatalf("index %d placed twice", idx)
@@ -85,7 +85,7 @@ func TestBuildRespectsRegionInvariant(t *testing.T) {
 	pts := clusteredPoints(3000, 3)
 	tree := mustBuild(t, pts, Config{BucketSize: 128}, 4)
 	tree.Buckets(func(id int32, _ *Bucket) {
-		for _, p := range tree.BucketPoints(id) {
+		for _, p := range tree.AppendBucketPoints(nil, id) {
 			if _, got, _ := tree.FindLeaf(p); got != id {
 				t.Fatalf("point %v placed in bucket %d but FindLeaf returns %d", p, id, got)
 			}

@@ -47,14 +47,14 @@ func (s *SearchStats) Add(o SearchStats) {
 // (docs/performance.md):
 //
 //   - the distance pass computes every point's squared distance into the
-//     Scratch's dist buffer, reading the tree's widened float64 coordinate
-//     shadow (arenaX/Y/Z) so the loop is three sequential loads, three
+//     Scratch's dist buffer, reading the arena's float64 coordinate
+//     planes (arenaX/Y/Z) so the loop is three sequential loads, three
 //     subtracts and a fused square-sum per point — no float32→float64
 //     conversions and no data-dependent branches, letting the out-of-order
 //     core stream it at the floating-point throughput floor instead of
 //     serializing on the compare of a fused compute+select loop. The
-//     arithmetic is DistSq's exactly (widening float32 is exact, so the
-//     shadowed operands are bit-identical to widening at scan time);
+//     arithmetic is DistSq's exactly (the planes hold the float32
+//     coordinates widened, which is exact);
 //   - the select pass walks the precomputed distances with the k-th
 //     distance in a register (w, refreshed only after an insertion) and
 //     one heavily biased reject branch; in the steady state ~84% of
@@ -77,7 +77,7 @@ func (t *Tree) scanBucket(b int32, query geom.Point, s *Scratch) int {
 	if cap(s.dist) < len(xs) {
 		s.dist = make([]float64, len(xs)+len(xs)/2)
 	}
-	// Reslice the shadow and buffer views to xs's length so the compiler
+	// Reslice the plane and buffer views to xs's length so the compiler
 	// proves all four indexings in-bounds and drops the checks.
 	ys := t.arenaY[bk.off:][:len(xs)]
 	zs := t.arenaZ[bk.off:][:len(xs)]
@@ -138,7 +138,7 @@ func (t *Tree) appendCands(dst []nn.Neighbor, cs []cand) []nn.Neighbor {
 		dst = grown
 	}
 	for _, c := range cs {
-		dst = append(dst, nn.Neighbor{Index: int(t.arenaIdx[c.pos]), Point: t.arenaPts[c.pos], DistSq: c.d})
+		dst = append(dst, nn.Neighbor{Index: int(t.arenaIdx[c.pos]), Point: t.arenaPoint(c.pos), DistSq: c.d})
 	}
 	return dst
 }
@@ -299,15 +299,14 @@ func (t *Tree) searchRadiusCore(query geom.Point, radius float64, s *Scratch, ds
 				return dst, true
 			}
 			bk := &t.buckets[nd.Bucket]
-			pts := t.arenaPts[bk.off : bk.off+bk.n]
-			ids := t.arenaIdx[bk.off : bk.off+bk.n]
-			for i, p := range pts {
+			for i := bk.off; i < bk.off+bk.n; i++ {
+				p := t.arenaPoint(i)
 				if d := query.DistSq(p); d <= r2 {
-					dst = append(dst, nn.Neighbor{Index: int(ids[i]), Point: p, DistSq: d})
+					dst = append(dst, nn.Neighbor{Index: int(t.arenaIdx[i]), Point: p, DistSq: d})
 					s.inserts++
 				}
 			}
-			stats.PointsScanned += len(pts)
+			stats.PointsScanned += int(bk.n)
 			stats.BucketsVisited++
 			continue
 		}

@@ -2,8 +2,47 @@ package kdtree
 
 import (
 	"bytes"
+	"math/rand"
+	"os"
 	"testing"
+
+	"github.com/quicknn/quicknn/internal/geom"
 )
+
+// TestReadFromV1DumpBitIdentical pins format version 1 across arena
+// layouts: testdata/legacy_v1.qkdt was written by the float32-AoS arena
+// (before the coordinate planes became the only copy of each point).
+// It must load, re-serialize to the same bytes, and equal the dump of a
+// tree built today by the same recipe.
+func TestReadFromV1DumpBitIdentical(t *testing.T) {
+	want, err := os.ReadFile("testdata/legacy_v1.qkdt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadFrom(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if _, err := loaded.WriteTo(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), want) {
+		t.Fatal("legacy dump does not re-serialize bit-identically")
+	}
+
+	pts := clusteredPoints(2000, 61)
+	tr := Build(pts, Config{BucketSize: 32}, rand.New(rand.NewSource(62)))
+	moved := (geom.Transform{Yaw: 0.05, Translation: geom.Point{X: 5, Y: -2}}).ApplyAll(pts[:1500])
+	tr.UpdateFrame(moved, 0, 0)
+	var fresh bytes.Buffer
+	if _, err := tr.WriteTo(&fresh); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fresh.Bytes(), want) {
+		t.Fatal("tree built by the legacy dump's recipe serializes differently")
+	}
+}
 
 func TestSerializeRoundTripExact(t *testing.T) {
 	pts := clusteredPoints(3000, 70)

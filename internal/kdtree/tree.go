@@ -46,12 +46,13 @@ type Node struct {
 func (n Node) Leaf() bool { return n.Bucket != nilIdx }
 
 // Bucket is one leaf's view into the tree's SoA point arena: a contiguous
-// {off, len, cap} span of Tree.arenaPts / Tree.arenaIdx. Keeping every
-// bucket inside two flat per-tree arrays (instead of per-bucket heap
-// slices) is the software mirror of the paper's contiguous bucket blocks
-// (§4): a bucket scan is one sequential walk of cache lines, a tree clone
-// is two bulk copies, and the steady-state query path allocates nothing.
-// Use Tree.BucketPoints / Tree.BucketIndices to read a bucket's contents.
+// {off, len, cap} span of the arena's coordinate planes and index plane.
+// Keeping every bucket inside flat per-tree arrays (instead of per-bucket
+// heap slices) is the software mirror of the paper's contiguous bucket
+// blocks (§4): a bucket scan is one sequential walk of cache lines, a tree
+// clone is a few bulk copies, and the steady-state query path allocates
+// nothing. Use Tree.AppendBucketPoints / Tree.BucketIndices to read a
+// bucket's contents.
 type Bucket struct {
 	off  int32 // first slot of the span in the arena
 	n    int32 // live points in the span
@@ -78,15 +79,11 @@ type Config struct {
 	MinSamplePoints int
 	// Parallelism is the ingest worker budget for construction, point
 	// placement, and rebalancing. Zero resolves to GOMAXPROCS at use
-	// time; 1 pins the serial algorithms. The resulting tree is
-	// byte-identical for every setting (docs/performance.md), so the
-	// knob trades only latency for cores. Not persisted by Save:
-	// loaded trees default to 0 (auto).
+	// time; 1 = one worker (every phase runs inline on the caller). The
+	// resulting tree is byte-identical for every setting
+	// (docs/performance.md), so the knob trades only latency for cores.
+	// Not persisted by Save: loaded trees default to 0 (auto).
 	Parallelism int
-	// FanDepth is the tree depth at which the parallel structure build
-	// fans subtrees out to workers. Zero derives it from the worker
-	// count (≥4 subtrees per worker).
-	FanDepth int
 }
 
 // DefaultConfig returns the paper's main operating point: 256-point buckets
@@ -134,27 +131,28 @@ type Tree struct {
 	freeBuckets []int32
 	liveBuckets int
 
-	// The SoA bucket arena: every bucket's points and reference indices
-	// live in these two flat arrays, addressed by Bucket{off, n, cap}
-	// spans. arenaHole counts retired span slots (from bucket growth
-	// relocations and freed buckets); when holes dominate, maybeCompact
-	// repacks the live spans front-to-back. Invariant (docs/invariants.md):
-	// sum of live bucket caps + arenaHole == len(arenaPts) == len(arenaIdx).
-	arenaPts  []geom.Point
+	// The SoA bucket arena: every bucket's points live in the per-axis
+	// coordinate planes arenaX/Y/Z and its reference indices in arenaIdx,
+	// addressed by Bucket{off, n, cap} spans. This is the only copy of a
+	// placed point. The planes hold each float32 coordinate widened to
+	// float64 (exact), so scanBucket's distance pass is three sequential
+	// float64 loads per point with no conversions on its critical path,
+	// and its arithmetic is geom.Point.DistSq's bit for bit. A geom.Point
+	// is rebuilt (arenaPoint, exact) only where a point leaves the tree.
+	// The architecture models and the serialized format account the
+	// compact 16-byte float32 record.
+	//
+	// arenaHole counts retired span slots (from bucket growth relocations
+	// and freed buckets); when holes dominate, maybeCompact repacks the
+	// live spans front-to-back. Invariant (docs/invariants.md): the four
+	// planes share one length and one capacity, and the sum of live
+	// bucket caps + arenaHole == that length. Slots outside live spans
+	// hold whatever was last written there; nothing reads them.
+	arenaX    []float64
+	arenaY    []float64
+	arenaZ    []float64
 	arenaIdx  []int32
 	arenaHole int
-
-	// The widened coordinate shadow: per-axis float64 copies of arenaPts,
-	// kept in lockstep by every arena write path (docs/performance.md).
-	// scanBucket's distance pass reads these instead of arenaPts, so its
-	// inner loop is three sequential float64 loads per point with no
-	// float32→float64 conversions on the critical path (the conversions
-	// halved the pass's throughput; see the benchmark methodology notes).
-	// The shadow is a query-side accelerator only: the architecture models
-	// and the serialized format still account the compact float32 layout.
-	arenaX []float64
-	arenaY []float64
-	arenaZ []float64
 
 	// lastIngest is the phase-timing breakdown of the most recent
 	// mutation operation (LastIngest); reb is the rebalance pass's
@@ -164,86 +162,73 @@ type Tree struct {
 	reb        rebScratch
 }
 
-// syncShadow recomputes the widened coordinate shadow for arena slots
-// [lo, hi) from arenaPts. Bulk write paths (rebuild leaves, deserialization)
-// call it once per span instead of shadowing each store.
-func (t *Tree) syncShadow(lo, hi int32) {
-	for i := lo; i < hi; i++ {
-		p := t.arenaPts[i]
-		t.arenaX[i] = float64(p.X)
-		t.arenaY[i] = float64(p.Y)
-		t.arenaZ[i] = float64(p.Z)
-	}
+// arenaPoint rebuilds the point in arena slot i. Narrowing is exact:
+// every plane value was widened from a float32.
+func (t *Tree) arenaPoint(i int32) geom.Point {
+	return geom.Point{X: float32(t.arenaX[i]), Y: float32(t.arenaY[i]), Z: float32(t.arenaZ[i])}
 }
 
-// BucketPoints returns bucket id's points as a view into the tree arena.
-// The view is read-only and valid until the next mutation (Insert, Place,
-// Update*, Rebalance, CompactArena) — mutations may relocate spans.
-func (t *Tree) BucketPoints(id int32) []geom.Point {
+// arenaSet stores point p with reference index ref into arena slot i.
+func (t *Tree) arenaSet(i int32, p geom.Point, ref int32) {
+	t.arenaX[i] = float64(p.X)
+	t.arenaY[i] = float64(p.Y)
+	t.arenaZ[i] = float64(p.Z)
+	t.arenaIdx[i] = ref
+}
+
+// arenaMove copies the n slots starting at src to dst (non-overlapping).
+func (t *Tree) arenaMove(dst, src, n int32) {
+	copy(t.arenaX[dst:dst+n], t.arenaX[src:src+n])
+	copy(t.arenaY[dst:dst+n], t.arenaY[src:src+n])
+	copy(t.arenaZ[dst:dst+n], t.arenaZ[src:src+n])
+	copy(t.arenaIdx[dst:dst+n], t.arenaIdx[src:src+n])
+}
+
+// AppendBucketPoints appends bucket id's points, in scan order, to dst
+// and returns the extended slice. The points are copies: they stay valid
+// across later mutations of the tree.
+func (t *Tree) AppendBucketPoints(dst []geom.Point, id int32) []geom.Point {
 	b := &t.buckets[id]
-	return t.arenaPts[b.off : b.off+b.n : b.off+b.n]
+	for i := b.off; i < b.off+b.n; i++ {
+		dst = append(dst, t.arenaPoint(i))
+	}
+	return dst
 }
 
 // BucketIndices returns bucket id's reference indices as a view into the
-// tree arena, under the same read-only/validity contract as BucketPoints.
+// tree arena. The view is read-only and valid until the next mutation
+// (Insert, Place, Update*, Rebalance, CompactArena) — mutations may
+// relocate spans.
 func (t *Tree) BucketIndices(id int32) []int32 {
 	b := &t.buckets[id]
 	return t.arenaIdx[b.off : b.off+b.n : b.off+b.n]
 }
 
 // arenaReserve appends a span of n slots to the arena tail and returns
-// its offset. The slots are zeroed.
+// its offset. The slots hold stale values until the caller writes them.
+// Every allocation of the planes (here and in Clone) gives all four the
+// same capacity, so checking one plane covers them all.
 func (t *Tree) arenaReserve(n int32) int32 {
-	off := int32(len(t.arenaPts))
-	need := len(t.arenaPts) + int(n)
-	// The planes can carry different spare capacities when materialized
-	// independently — Clone's per-plane appends round to the allocator's
-	// size classes, which differ across the element widths — so the
-	// in-place reslice is only safe when every plane has room.
-	capAll := cap(t.arenaPts)
-	for _, c := range [4]int{cap(t.arenaIdx), cap(t.arenaX), cap(t.arenaY), cap(t.arenaZ)} {
-		if c < capAll {
-			capAll = c
-		}
-	}
-	if need > capAll {
-		newCap := 2 * capAll
-		if newCap < need {
-			newCap = need
-		}
-		if newCap < 1024 {
-			newCap = 1024
-		}
-		pts := make([]geom.Point, need, newCap)
-		copy(pts, t.arenaPts)
-		t.arenaPts = pts
-		idx := make([]int32, need, newCap)
-		copy(idx, t.arenaIdx)
-		t.arenaIdx = idx
-		xs := make([]float64, need, newCap)
-		copy(xs, t.arenaX)
-		t.arenaX = xs
-		ys := make([]float64, need, newCap)
-		copy(ys, t.arenaY)
-		t.arenaY = ys
-		zs := make([]float64, need, newCap)
-		copy(zs, t.arenaZ)
-		t.arenaZ = zs
+	off := int32(len(t.arenaIdx))
+	need := int(off) + int(n)
+	if need > cap(t.arenaIdx) {
+		t.reallocArena(need, max(2*cap(t.arenaIdx), need, 1024))
 		return off
 	}
-	t.arenaPts = t.arenaPts[:need]
-	t.arenaIdx = t.arenaIdx[:need]
 	t.arenaX = t.arenaX[:need]
 	t.arenaY = t.arenaY[:need]
 	t.arenaZ = t.arenaZ[:need]
-	for i := off; i < int32(need); i++ {
-		t.arenaPts[i] = geom.Point{}
-		t.arenaIdx[i] = 0
-		t.arenaX[i] = 0
-		t.arenaY[i] = 0
-		t.arenaZ[i] = 0
-	}
+	t.arenaIdx = t.arenaIdx[:need]
 	return off
+}
+
+// reallocArena moves the arena into fresh planes of length n and
+// capacity c (n >= the current length), keeping the current contents.
+func (t *Tree) reallocArena(n, c int) {
+	t.arenaX = append(make([]float64, 0, c), t.arenaX...)[:n]
+	t.arenaY = append(make([]float64, 0, c), t.arenaY...)[:n]
+	t.arenaZ = append(make([]float64, 0, c), t.arenaZ...)[:n]
+	t.arenaIdx = append(make([]int32, 0, c), t.arenaIdx...)[:n]
 }
 
 // bucketAppend adds one point to bucket id, relocating the bucket's span
@@ -256,11 +241,7 @@ func (t *Tree) bucketAppend(id int32, p geom.Point, ref int32) {
 		t.growBucket(id)
 		b = &t.buckets[id]
 	}
-	t.arenaPts[b.off+b.n] = p
-	t.arenaIdx[b.off+b.n] = ref
-	t.arenaX[b.off+b.n] = float64(p.X)
-	t.arenaY[b.off+b.n] = float64(p.Y)
-	t.arenaZ[b.off+b.n] = float64(p.Z)
+	t.arenaSet(b.off+b.n, p, ref)
 	b.n++
 }
 
@@ -268,17 +249,9 @@ func (t *Tree) bucketAppend(id int32, p geom.Point, ref int32) {
 // double the capacity, retiring the old span as a hole.
 func (t *Tree) growBucket(id int32) {
 	b := &t.buckets[id]
-	newCap := b.cap * 2
-	if newCap < 8 {
-		newCap = 8
-	}
+	newCap := max(b.cap*2, 8)
 	off := t.arenaReserve(newCap)
-	b = &t.buckets[id] // arenaReserve does not touch buckets; defensive reload
-	copy(t.arenaPts[off:off+b.n], t.arenaPts[b.off:b.off+b.n])
-	copy(t.arenaIdx[off:off+b.n], t.arenaIdx[b.off:b.off+b.n])
-	copy(t.arenaX[off:off+b.n], t.arenaX[b.off:b.off+b.n])
-	copy(t.arenaY[off:off+b.n], t.arenaY[b.off:b.off+b.n])
-	copy(t.arenaZ[off:off+b.n], t.arenaZ[b.off:b.off+b.n])
+	t.arenaMove(off, b.off, b.n)
 	t.arenaHole += int(b.cap)
 	b.off, b.cap = off, newCap
 }
@@ -291,7 +264,7 @@ const minCompactSlack = 1024
 // Called on retire paths only (after Rebalance, at the end of Place),
 // never mid-scan, so search-held views are never invalidated by it.
 func (t *Tree) maybeCompact() {
-	if t.arenaHole < minCompactSlack || 2*t.arenaHole <= len(t.arenaPts) {
+	if t.arenaHole < minCompactSlack || 2*t.arenaHole <= len(t.arenaIdx) {
 		return
 	}
 	t.CompactArena()
@@ -303,7 +276,6 @@ func (t *Tree) maybeCompact() {
 // results are bit-identical across a compaction. Exposed for tests and
 // tooling; the tree compacts itself on retire paths via maybeCompact.
 func (t *Tree) CompactArena() {
-	defer t.arenaCheckpoint("CompactArena")
 	ids := make([]int32, 0, t.liveBuckets)
 	for i := range t.buckets {
 		if t.buckets[i].live {
@@ -315,28 +287,23 @@ func (t *Tree) CompactArena() {
 	for _, id := range ids {
 		b := &t.buckets[id]
 		if b.off != w {
-			copy(t.arenaPts[w:w+b.n], t.arenaPts[b.off:b.off+b.n])
-			copy(t.arenaIdx[w:w+b.n], t.arenaIdx[b.off:b.off+b.n])
-			copy(t.arenaX[w:w+b.n], t.arenaX[b.off:b.off+b.n])
-			copy(t.arenaY[w:w+b.n], t.arenaY[b.off:b.off+b.n])
-			copy(t.arenaZ[w:w+b.n], t.arenaZ[b.off:b.off+b.n])
+			t.arenaMove(w, b.off, b.n)
 		}
 		b.off = w
 		b.cap = b.n
 		w += b.n
 	}
-	t.arenaPts = t.arenaPts[:w]
-	t.arenaIdx = t.arenaIdx[:w]
 	t.arenaX = t.arenaX[:w]
 	t.arenaY = t.arenaY[:w]
 	t.arenaZ = t.arenaZ[:w]
+	t.arenaIdx = t.arenaIdx[:w]
 	t.arenaHole = 0
 }
 
 // ArenaLen returns the arena length in slots (live spans + slack + holes);
 // ArenaHoles returns the retired-slot count. Tests use them to pin the
 // compaction invariants.
-func (t *Tree) ArenaLen() int   { return len(t.arenaPts) }
+func (t *Tree) ArenaLen() int   { return len(t.arenaIdx) }
 func (t *Tree) ArenaHoles() int { return t.arenaHole }
 
 // Config returns the configuration the tree was built with.
@@ -397,15 +364,6 @@ func (t *Tree) bucket(leaf int32) int32 {
 	}
 	t.buckets = append(t.buckets, Bucket{Leaf: leaf, live: true})
 	return int32(len(t.buckets) - 1)
-}
-
-func (t *Tree) freeNode(idx int32) { t.freeNodes = append(t.freeNodes, idx) }
-
-func (t *Tree) freeBucket(idx int32) {
-	t.arenaHole += int(t.buckets[idx].cap)
-	t.buckets[idx] = Bucket{}
-	t.freeBuckets = append(t.freeBuckets, idx)
-	t.liveBuckets--
 }
 
 // leafItem is one frame of the explicit leaf-walk stack.
@@ -500,7 +458,7 @@ func (t *Tree) Stats() BucketStats {
 // allocation per bucket, which is what lets the serving engine snapshot
 // per frame cheaply.
 func (t *Tree) Clone() *Tree {
-	return &Tree{
+	c := &Tree{
 		cfg:         t.cfg,
 		root:        t.root,
 		liveBuckets: t.liveBuckets,
@@ -508,13 +466,13 @@ func (t *Tree) Clone() *Tree {
 		freeNodes:   append([]int32(nil), t.freeNodes...),
 		freeBuckets: append([]int32(nil), t.freeBuckets...),
 		buckets:     append([]Bucket(nil), t.buckets...),
-		arenaPts:    append([]geom.Point(nil), t.arenaPts...),
-		arenaIdx:    append([]int32(nil), t.arenaIdx...),
-		arenaX:      append([]float64(nil), t.arenaX...),
-		arenaY:      append([]float64(nil), t.arenaY...),
-		arenaZ:      append([]float64(nil), t.arenaZ...),
 		arenaHole:   t.arenaHole,
 	}
+	// Start from t's planes and copy them out into exact-size arrays.
+	c.arenaX, c.arenaY, c.arenaZ, c.arenaIdx = t.arenaX, t.arenaY, t.arenaZ, t.arenaIdx
+	n := len(t.arenaIdx)
+	c.reallocArena(n, n)
+	return c
 }
 
 // Validate checks structural invariants: link symmetry, every leaf has a
@@ -582,23 +540,15 @@ func (t *Tree) Validate() error {
 }
 
 // validateArena checks the SoA arena invariants (docs/invariants.md):
-// both arrays in lockstep, every live span in range with n <= cap, live
-// spans pairwise disjoint, and live capacity + holes covering the arena
-// exactly — the arena holds exactly the live points plus accounted slack.
+// the four planes of one length, every live span in range with n <= cap,
+// live spans pairwise disjoint, and live capacity + holes covering the
+// arena exactly — the arena holds exactly the live points plus accounted
+// slack.
 func (t *Tree) validateArena() error {
-	if len(t.arenaPts) != len(t.arenaIdx) {
-		return fmt.Errorf("kdtree: arena arrays diverge: %d points vs %d indices",
-			len(t.arenaPts), len(t.arenaIdx))
-	}
-	if len(t.arenaX) != len(t.arenaPts) || len(t.arenaY) != len(t.arenaPts) || len(t.arenaZ) != len(t.arenaPts) {
-		return fmt.Errorf("kdtree: coordinate shadow diverges: x %d / y %d / z %d vs %d points",
-			len(t.arenaX), len(t.arenaY), len(t.arenaZ), len(t.arenaPts))
-	}
-	for i := range t.arenaPts {
-		p := t.arenaPts[i]
-		if t.arenaX[i] != float64(p.X) || t.arenaY[i] != float64(p.Y) || t.arenaZ[i] != float64(p.Z) {
-			return fmt.Errorf("kdtree: coordinate shadow stale at slot %d", i)
-		}
+	n := len(t.arenaIdx)
+	if len(t.arenaX) != n || len(t.arenaY) != n || len(t.arenaZ) != n {
+		return fmt.Errorf("kdtree: arena planes diverge: x %d / y %d / z %d vs %d indices",
+			len(t.arenaX), len(t.arenaY), len(t.arenaZ), n)
 	}
 	type span struct {
 		id       int32
@@ -611,9 +561,9 @@ func (t *Tree) validateArena() error {
 		if !b.live {
 			continue
 		}
-		if b.n < 0 || b.cap < b.n || b.off < 0 || int(b.off)+int(b.cap) > len(t.arenaPts) {
+		if b.n < 0 || b.cap < b.n || b.off < 0 || int(b.off)+int(b.cap) > n {
 			return fmt.Errorf("kdtree: bucket %d span {off %d, n %d, cap %d} out of arena [0,%d)",
-				i, b.off, b.n, b.cap, len(t.arenaPts))
+				i, b.off, b.n, b.cap, n)
 		}
 		liveCap += int(b.cap)
 		if b.cap > 0 {
@@ -627,9 +577,9 @@ func (t *Tree) validateArena() error {
 				spans[i].id, spans[i].off, spans[i].end, spans[i-1].id, spans[i-1].end)
 		}
 	}
-	if liveCap+t.arenaHole != len(t.arenaPts) {
+	if liveCap+t.arenaHole != n {
 		return fmt.Errorf("kdtree: arena accounting broken: live cap %d + holes %d != arena %d",
-			liveCap, t.arenaHole, len(t.arenaPts))
+			liveCap, t.arenaHole, n)
 	}
 	return nil
 }

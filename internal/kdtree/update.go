@@ -30,8 +30,8 @@ type leafAt struct {
 // rebScratch is the rebalance pass's reusable workspace, owned by the
 // tree (mutations are single-caller by contract): the freed-node set,
 // the leaf-walk stack, the collected delinquent/oversized lists, and
-// the parallel pass's task and pending-decision lists. Reuse is what
-// keeps steady-state UpdateFrame allocation-free.
+// the pass's task and pending-decision lists. Reuse is what keeps
+// steady-state UpdateFrame allocation-free.
 type rebScratch struct {
 	freed      freedSet
 	stack      []leafItem
@@ -41,11 +41,11 @@ type rebScratch struct {
 	pend       []rebPending
 }
 
-// rebTask is one planned subtree rebuild of the phased parallel
-// rebalance: the kept root, the points collected out of its subtree,
-// the node/bucket slots the collection freed (recorded here and pushed
-// onto the tree's free lists only at commit, so the free-list LIFO
-// replays in exactly the serial interleaving), and the staged shape.
+// rebTask is one planned subtree rebuild of the phased rebalance: the
+// kept root, the points collected out of its subtree, the node/bucket
+// slots the collection freed (recorded here and pushed onto the tree's
+// free lists only at commit, so the free-list LIFO replays in exactly
+// the one-rebuild-at-a-time interleaving), and the staged shape.
 type rebTask struct {
 	target int32
 	axis   geom.Axis
@@ -64,7 +64,8 @@ type rebTask struct {
 // planned task (task >= 0) or a predicted skip on a freed slot
 // (task == -1) that must be re-checked at commit time — an earlier
 // commit may have resurrected the slot as a new delinquent leaf, which
-// the serial pass would have rebuilt at exactly this list position.
+// a one-rebuild-at-a-time pass would rebuild at exactly this list
+// position.
 type rebPending struct {
 	node int32
 	task int32
@@ -81,7 +82,6 @@ type rebPending struct {
 // ratchet — every merge raises the mean, which widens the bounds, which
 // triggers more merges on the next frame.)
 func (t *Tree) UpdateFrame(points []geom.Point, lower, upper int) UpdateResult {
-	defer t.arenaCheckpoint("UpdateFrame")
 	t.lastIngest = IngestTiming{}
 	t.ResetBuckets()
 	t.placeInto(points)
@@ -99,37 +99,13 @@ func (t *Tree) UpdateFrame(points []geom.Point, lower, upper int) UpdateResult {
 // shallowest leaves first) and splitting (rebuild oversized leaves into
 // subtrees). Bounds must satisfy 0 < lower < upper.
 //
-// With Config.Parallelism != 1 the independent subtree rebuilds of each
-// step run phased (plan → stage on workers → commit in plan order,
-// ingest.go); node and bucket numbering, free lists, and the arena come
-// out byte-identical to the serial pass for any worker count.
+// The independent subtree rebuilds of each step run phased (plan →
+// stage on the ingest workers → commit in plan order); node and bucket
+// numbering, free lists, and the arena come out byte-identical for any
+// worker count.
 func (t *Tree) Rebalance(lower, upper int) UpdateResult {
 	t.lastIngest = IngestTiming{}
 	return t.rebalance(lower, upper)
-}
-
-// rebalance dispatches to the serial or phased pass and records timing.
-func (t *Tree) rebalance(lower, upper int) UpdateResult {
-	if lower <= 0 || upper <= lower {
-		panic("kdtree: Rebalance requires 0 < lower < upper")
-	}
-	defer t.arenaCheckpoint("Rebalance")
-	sw := obs.StartStopwatch()
-	workers := t.ingestWorkers()
-	var res UpdateResult
-	freed := &t.reb.freed
-	freed.reset(len(t.nodes))
-	if workers <= 1 {
-		t.rebalanceSerial(lower, upper, freed, &res)
-	} else {
-		t.rebalanceParallel(lower, upper, workers, freed, &res)
-	}
-	// Rebuilds retire the merged/split leaves' old arena spans; repack the
-	// arena once the retired slots dominate ("compaction on retire").
-	t.maybeCompact()
-	t.lastIngest.RebalanceSeconds = sw.Seconds()
-	t.lastIngest.Workers = workers
-	return res
 }
 
 // collectDelinquent gathers the under-occupied leaves (depth > 0)
@@ -162,64 +138,43 @@ func (t *Tree) collectOversized(upper int) []int32 {
 	return t.reb.oversized
 }
 
-// rebalanceSerial is the reference pass: one rebuild at a time, exactly
-// in list order.
+// rebalance runs the pass and records its timing.
 //
 // Merging collects delinquent leaves shallowest-first; rebuilding a
 // parent subtree may consume other delinquent leaves, so each is
-// re-validated before processing. One pass collapses a delinquent
-// region by one level, so it iterates to a fixpoint: each round a
+// re-validated before it is admitted. One round collapses a delinquent
+// region by one level, so rounds iterate to a fixpoint: each round a
 // still-delinquent leaf's merge target is strictly shallower, so the
 // loop terminates within the tree depth. Splitting then replaces
 // oversized leaves (including any produced by merging that the rebuild
 // target could not subdivide) with subtrees.
-func (t *Tree) rebalanceSerial(lower, upper int, freed *freedSet, res *UpdateResult) {
-	for round := 0; ; round++ {
-		del := t.collectDelinquent(lower)
-		if len(del) == 0 || round > 64 {
-			break
-		}
-		merged := 0
-		for _, d := range del {
-			if freed.has(d.node) {
-				continue
-			}
-			nd := t.nodes[d.node]
-			if !nd.Leaf() || nd.Parent == nilIdx || t.buckets[nd.Bucket].Len() >= lower {
-				continue // already fixed by an earlier rebuild
-			}
-			merged++
-			t.rebuildAt(nd.Parent, upper, freed, res)
-		}
-		res.Merged += merged
-		if merged == 0 {
-			break
-		}
-	}
-	for _, leaf := range t.collectOversized(upper) {
-		res.Split++
-		t.rebuildAt(leaf, upper, freed, res)
-	}
-}
-
-// rebalanceParallel phases each step of the serial pass: plan the
-// admitted rebuilds in list order (running every collection the serial
-// pass would run, with free-list pushes deferred into the task), stage
-// each task's subtree shape on workers (chooseSplit over task-private
-// point buffers — no shared state), then commit in plan order — each
-// commit first replays its task's frees and then allocates through
-// t.node()/t.bucket(), reproducing the serial pass's free-list
-// interleaving and therefore its exact node/bucket numbering.
 //
-// Admission decisions made at plan time against pre-commit state are
-// provably identical to the serial pass's for every non-freed leaf
-// (commits only mutate slots a prior collection freed); the one
-// divergence — a slot freed at plan time that an earlier commit
-// resurrects into a new delinquent leaf the serial pass would rebuild —
-// is re-checked at its original list position during commit and rebuilt
-// inline (its subtree lies inside the resurrecting task's committed
-// region, disjoint from every remaining staged task).
-func (t *Tree) rebalanceParallel(lower, upper, workers int, freed *freedSet, res *UpdateResult) {
+// Each step is phased: plan the admitted rebuilds in list order
+// (running every collection in list order, with free-list pushes
+// deferred into the task), stage each task's subtree shape on the
+// workers (chooseSplit over task-private point buffers — no shared
+// state), then commit in plan order — each commit first replays its
+// task's frees and then allocates through t.node()/t.bucket(), which
+// reproduces the one-rebuild-at-a-time free-list interleaving and
+// therefore its exact node/bucket numbering.
+//
+// Admission decisions made at plan time against pre-commit state equal
+// the one-at-a-time decisions for every non-freed leaf (commits only
+// mutate slots a prior collection freed); the one divergence — a slot
+// freed at plan time that an earlier commit resurrects into a new
+// delinquent leaf — is re-checked at its original list position during
+// commit and rebuilt there as one more task, collected, staged and
+// committed inline (its subtree lies inside the resurrecting task's
+// committed region, disjoint from every remaining staged task).
+func (t *Tree) rebalance(lower, upper int) UpdateResult {
+	if lower <= 0 || upper <= lower {
+		panic("kdtree: Rebalance requires 0 < lower < upper")
+	}
+	sw := obs.StartStopwatch()
+	workers := t.ingestWorkers()
+	var res UpdateResult
+	freed := &t.reb.freed
+	freed.reset(len(t.nodes))
 	tasks := t.reb.tasks[:0]
 	pend := t.reb.pend[:0]
 	for round := 0; ; round++ {
@@ -241,12 +196,12 @@ func (t *Tree) rebalanceParallel(lower, upper, workers int, freed *freedSet, res
 			}
 			merged++
 			pend = append(pend, rebPending{node: d.node, task: int32(len(tasks))})
-			tasks = t.appendCollectTask(tasks, nd.Parent, freed, res)
+			tasks = t.appendCollectTask(tasks, nd.Parent, freed, &res)
 		}
 		t.stageRebTasks(tasks, upper, workers)
 		for _, p := range pend {
 			if p.task >= 0 {
-				t.commitRebuild(&tasks[p.task], freed, res)
+				t.commitRebuild(&tasks[p.task], freed, &res)
 				continue
 			}
 			if freed.has(p.node) {
@@ -256,10 +211,13 @@ func (t *Tree) rebalanceParallel(lower, upper, workers int, freed *freedSet, res
 			if !nd.Leaf() || nd.Parent == nilIdx || t.buckets[nd.Bucket].Len() >= lower {
 				continue
 			}
-			// Resurrected delinquent leaf: rebuild inline, as the serial
-			// pass would at this position.
+			// Resurrected delinquent leaf: rebuild its parent here, at
+			// its list position.
 			merged++
-			t.rebuildAt(nd.Parent, upper, freed, res)
+			tasks = t.appendCollectTask(tasks, nd.Parent, freed, &res)
+			tk := &tasks[len(tasks)-1]
+			t.stageRebTask(tk, upper)
+			t.commitRebuild(tk, freed, &res)
 		}
 		res.Merged += merged
 		if merged == 0 {
@@ -271,11 +229,11 @@ func (t *Tree) rebalanceParallel(lower, upper, workers int, freed *freedSet, res
 	tasks = tasks[:0]
 	for _, leaf := range t.collectOversized(upper) {
 		res.Split++
-		tasks = t.appendCollectTask(tasks, leaf, freed, res)
+		tasks = t.appendCollectTask(tasks, leaf, freed, &res)
 	}
 	t.stageRebTasks(tasks, upper, workers)
 	for i := range tasks {
-		t.commitRebuild(&tasks[i], freed, res)
+		t.commitRebuild(&tasks[i], freed, &res)
 	}
 	// Drop the tasks' buffer references (they hold point copies from the
 	// largest round) while keeping the headers for reuse.
@@ -285,12 +243,17 @@ func (t *Tree) rebalanceParallel(lower, upper, workers int, freed *freedSet, res
 	}
 	t.reb.tasks = tasks[:0]
 	t.reb.pend = pend[:0]
+	// Rebuilds retire the merged/split leaves' old arena spans; repack the
+	// arena once the retired slots dominate ("compaction on retire").
+	t.maybeCompact()
+	t.lastIngest.RebalanceSeconds = sw.Seconds()
+	t.lastIngest.Workers = workers
+	return res
 }
 
 // appendCollectTask plans one subtree rebuild: it collects the subtree
-// below idx exactly as the serial pass would (points copied out, holes
-// accounted, slots marked freed) but defers the free-list pushes into
-// the task for replay at commit time.
+// below idx (points copied out, holes accounted, slots marked freed) but
+// defers the free-list pushes into the task for replay at commit time.
 func (t *Tree) appendCollectTask(tasks []rebTask, idx int32, freed *freedSet, res *UpdateResult) []rebTask {
 	tasks = append(tasks, rebTask{target: idx})
 	tk := &tasks[len(tasks)-1]
@@ -300,14 +263,16 @@ func (t *Tree) appendCollectTask(tasks []rebTask, idx int32, freed *freedSet, re
 	return tasks
 }
 
-// collectDeferred is collectSubtree with the free-list pushes recorded
-// into the task instead of applied: every other side effect — the point
-// copy-out, hole accounting, bucket clearing, link clearing on the kept
-// root, freed marks — happens eagerly and in the serial DFS order.
+// collectDeferred gathers every point below idx, in DFS order, into the
+// task (rebuilt as geom.Points: they leave the arena here, so later span
+// retirement cannot clobber them), frees the subtree's buckets and child
+// nodes, and clears the kept root's links. The free-list pushes are
+// recorded into the task instead of applied; every other side effect —
+// hole accounting, bucket clearing, freed marks — happens eagerly.
 func (t *Tree) collectDeferred(idx int32, tk *rebTask, freed *freedSet, keepRoot bool) {
 	nd := t.nodes[idx]
 	if nd.Leaf() {
-		tk.pts = append(tk.pts, t.BucketPoints(nd.Bucket)...)
+		tk.pts = t.AppendBucketPoints(tk.pts, nd.Bucket)
 		tk.idxs = append(tk.idxs, t.BucketIndices(nd.Bucket)...)
 		t.arenaHole += int(t.buckets[nd.Bucket].cap)
 		t.buckets[nd.Bucket] = Bucket{}
@@ -328,20 +293,30 @@ func (t *Tree) collectDeferred(idx int32, tk *rebTask, freed *freedSet, keepRoot
 }
 
 // stageRebTasks computes each task's subtree shape on up to `workers`
-// goroutines. Staging reads and sorts only task-owned buffers.
+// goroutines. Staging reads and sorts only task-owned buffers. One
+// worker runs without the closure, so a warm pass allocates nothing.
 func (t *Tree) stageRebTasks(tasks []rebTask, target, workers int) {
-	runTasks(workers, len(tasks), func(i int) {
-		tk := &tasks[i]
-		tk.nodes = tk.nodes[:0]
-		tk.root = stageRebuild(&tk.nodes, tk.pts, tk.idxs, 0, int32(len(tk.pts)), tk.axis, target)
-	})
+	if workers <= 1 {
+		for i := range tasks {
+			t.stageRebTask(&tasks[i], target)
+		}
+		return
+	}
+	runTasks(workers, len(tasks), func(i int) { t.stageRebTask(&tasks[i], target) })
 }
 
-// stageRebuild mirrors rebuildNode's shape decisions into a staged node
-// array: the same chooseSplit calls over the same point storage, with
-// each staged leaf recording its [lo,hi) range — the in-place median
-// partition leaves every subtree's points contiguous, so ranges are all
-// a leaf needs.
+// stageRebTask computes one task's subtree shape.
+func (t *Tree) stageRebTask(tk *rebTask, target int) {
+	tk.nodes = tk.nodes[:0]
+	tk.root = stageRebuild(&tk.nodes, tk.pts, tk.idxs, 0, int32(len(tk.pts)), tk.axis, target)
+}
+
+// stageRebuild builds a subtree shape over the task's points into a
+// staged node array, splitting groups larger than target at the median
+// along cycling axes (the same sorter/partition datapath TBuild already
+// has, per §4.4). Each staged leaf records its [lo,hi) range — the
+// in-place median partition leaves every subtree's points contiguous,
+// so ranges are all a leaf needs.
 func stageRebuild(nodes *[]stagedNode, pts []geom.Point, idxs []int32, lo, hi int32, axis geom.Axis, target int) int32 {
 	si := int32(len(*nodes))
 	*nodes = append(*nodes, stagedNode{})
@@ -363,16 +338,16 @@ func stageRebuild(nodes *[]stagedNode, pts []geom.Point, idxs []int32, lo, hi in
 
 // commitRebuild applies one staged task: replay the collection's frees
 // in order, then emit the staged subtree through the allocators — the
-// exact [frees][allocations] bracket the serial rebuildAt produces.
+// [frees][allocations] bracket of one rebuild done on its own.
 func (t *Tree) commitRebuild(tk *rebTask, freed *freedSet, res *UpdateResult) {
 	t.freeNodes = append(t.freeNodes, tk.freedNodes...)
 	t.freeBuckets = append(t.freeBuckets, tk.freedBuckets...)
 	t.commitStaged(tk, tk.root, tk.target, freed, res)
 }
 
-// commitStaged emits staged node si into tree node idx, mirroring
-// rebuildNode's allocation order (bucket at each leaf; left node, right
-// node, then left subtree, right subtree at each internal node).
+// commitStaged emits staged node si into tree node idx (bucket at each
+// leaf; left node, right node, then left subtree, right subtree at each
+// internal node).
 func (t *Tree) commitStaged(tk *rebTask, si, idx int32, freed *freedSet, res *UpdateResult) {
 	sn := tk.nodes[si]
 	if sn.leaf {
@@ -380,9 +355,9 @@ func (t *Tree) commitStaged(tk *rebTask, si, idx int32, freed *freedSet, res *Up
 		t.nodes[idx].Bucket = b
 		n := sn.hi - sn.lo
 		off := t.arenaReserve(n)
-		copy(t.arenaPts[off:off+n], tk.pts[sn.lo:sn.hi])
-		copy(t.arenaIdx[off:off+n], tk.idxs[sn.lo:sn.hi])
-		t.syncShadow(off, off+n)
+		for i := int32(0); i < n; i++ {
+			t.arenaSet(off+i, tk.pts[sn.lo+i], tk.idxs[sn.lo+i])
+		}
 		bk := &t.buckets[b]
 		bk.off, bk.n, bk.cap = off, n, n
 		return
@@ -400,81 +375,6 @@ func (t *Tree) commitStaged(tk *rebTask, si, idx int32, freed *freedSet, res *Up
 	t.nodes[right].Parent = idx
 	t.commitStaged(tk, sn.left, left, freed, res)
 	t.commitStaged(tk, sn.right, right, freed, res)
-}
-
-// rebuildAt replaces the subtree rooted at idx (which keeps its node slot
-// and parent link) with a fresh subtree over all points currently stored
-// beneath it, splitting any group larger than target.
-func (t *Tree) rebuildAt(idx int32, target int, freed *freedSet, res *UpdateResult) {
-	var pts []geom.Point
-	var idxs []int32
-	t.collectSubtree(idx, &pts, &idxs, freed, true)
-	res.PointsResorted += len(pts)
-	axis := t.depthOf(idx) % geom.Dims
-	t.rebuildNode(idx, pointSet{pts: pts, idxs: idxs}, geom.Axis(axis), target, freed, res)
-}
-
-// collectSubtree gathers all points below idx (copied out of the arena,
-// so later span retirement cannot clobber them), freeing buckets and child
-// nodes. When keepRoot is true the node at idx itself is retained (links
-// cleared) so it can be rebuilt in place.
-func (t *Tree) collectSubtree(idx int32, pts *[]geom.Point, idxs *[]int32, freed *freedSet, keepRoot bool) {
-	nd := t.nodes[idx]
-	if nd.Leaf() {
-		*pts = append(*pts, t.BucketPoints(nd.Bucket)...)
-		*idxs = append(*idxs, t.BucketIndices(nd.Bucket)...)
-		t.freeBucket(nd.Bucket)
-	} else {
-		t.collectSubtree(nd.Left, pts, idxs, freed, false)
-		t.collectSubtree(nd.Right, pts, idxs, freed, false)
-	}
-	if keepRoot {
-		t.nodes[idx].Left = nilIdx
-		t.nodes[idx].Right = nilIdx
-		t.nodes[idx].Bucket = nilIdx
-		return
-	}
-	freed.mark(idx)
-	t.freeNode(idx)
-}
-
-// rebuildNode builds a subtree in place at idx over the given points,
-// splitting groups larger than target at the median along cycling axes
-// (the same sorter/partition datapath TBuild already has, per §4.4).
-func (t *Tree) rebuildNode(idx int32, s pointSet, axis geom.Axis, target int, freed *freedSet, res *UpdateResult) {
-	makeLeaf := func() {
-		b := t.bucket(idx)
-		t.nodes[idx].Bucket = b
-		n := int32(len(s.pts))
-		off := t.arenaReserve(n)
-		copy(t.arenaPts[off:off+n], s.pts)
-		copy(t.arenaIdx[off:off+n], s.idxs)
-		t.syncShadow(off, off+n)
-		bk := &t.buckets[b]
-		bk.off, bk.n, bk.cap = off, n, n
-	}
-	if len(s.pts) <= target {
-		makeLeaf()
-		return
-	}
-	splitAxis, threshold, lo, hi, ok := chooseSplit(s, axis)
-	if !ok {
-		makeLeaf() // degenerate: all points identical
-		return
-	}
-	left := t.node()
-	right := t.node()
-	freed.unmark(left) // slots may be recycled from this very pass
-	freed.unmark(right)
-	res.NodesRebuilt += 2
-	t.nodes[idx].Axis = splitAxis
-	t.nodes[idx].Threshold = threshold
-	t.nodes[idx].Left = left
-	t.nodes[idx].Right = right
-	t.nodes[left].Parent = idx
-	t.nodes[right].Parent = idx
-	t.rebuildNode(left, lo, splitAxis.Next(), target, freed, res)
-	t.rebuildNode(right, hi, splitAxis.Next(), target, freed, res)
 }
 
 // depthOf returns the depth of node idx by following parent links.

@@ -13,7 +13,6 @@ import (
 	"github.com/quicknn/quicknn/internal/lint/panicmsg"
 	"github.com/quicknn/quicknn/internal/lint/recordpath"
 	"github.com/quicknn/quicknn/internal/lint/scratchleak"
-	"github.com/quicknn/quicknn/internal/lint/shadowsync"
 	"github.com/quicknn/quicknn/internal/lint/walltime"
 )
 
@@ -28,6 +27,5 @@ var All = []*lint.Analyzer{
 	panicmsg.Analyzer,
 	recordpath.Analyzer,
 	scratchleak.Analyzer,
-	shadowsync.Analyzer,
 	walltime.Analyzer,
 }

@@ -52,8 +52,8 @@ type Config struct {
 	Workers int
 	// IngestWorkers bounds the ingest fan-out Advance uses to build or
 	// update a frame's index snapshot: 0 (the default) resolves to
-	// GOMAXPROCS at use time, 1 pins the exact serial ingest path,
-	// negative values are treated as 0. Every setting produces a
+	// GOMAXPROCS at use time, 1 = one worker (every ingest phase inline
+	// on the caller), negative values are treated as 0. Every setting produces a
 	// byte-identical snapshot (docs/performance.md), so the knob trades
 	// only ingest wall time against CPU available to the query path.
 	IngestWorkers int
@@ -365,8 +365,7 @@ func (e *Engine) Advance(ctx context.Context, frame []quicknn.Point) (FrameInfo,
 
 // observeIngest publishes the frame advance's per-phase ingest breakdown.
 // Only phases that actually ran are observed, keeping the histograms free
-// of structural zeros (Splits never runs on incremental updates,
-// Plan/Scatter never run on the serial placement path).
+// of structural zeros (Splits never runs on incremental updates).
 func (e *Engine) observeIngest(ing quicknn.IngestTiming) {
 	if ing.SplitsSeconds > 0 {
 		e.m.ingestSplits.Observe(ing.SplitsSeconds)

@@ -27,9 +27,9 @@ type PipelineConfig struct {
 	// Workers parallelizes the per-frame search (≤0 = GOMAXPROCS).
 	Workers int
 	// IngestWorkers parallelizes the per-frame index advance (build,
-	// placement, rebalance): 0 resolves to GOMAXPROCS at use time, 1 pins
-	// the exact serial ingest path. Any setting yields a byte-identical
-	// index (docs/performance.md).
+	// placement, rebalance): 0 resolves to GOMAXPROCS at use time, 1 = one
+	// worker. Any setting yields a byte-identical index
+	// (docs/performance.md).
 	IngestWorkers int
 	// Seed drives index construction sampling.
 	Seed int64
@@ -175,10 +175,10 @@ func (p *Pipeline) record(frame []Point, buildSec, searchSec float64) {
 			"Software search throughput of the latest frame.").With().
 			Set(float64(len(frame)) / searchSec)
 	}
-	// Per-phase ingest breakdown of the frame advance (parallel ingest,
-	// docs/performance.md). Only phases that actually ran are observed so
-	// the histograms stay free of structural zeros (e.g. Splits is zero
-	// for every incremental update, Plan/Scatter for serial placement).
+	// Per-phase ingest breakdown of the frame advance (docs/performance.md).
+	// Only phases that actually ran are observed so the histograms stay
+	// free of structural zeros (e.g. Splits is zero for every incremental
+	// update).
 	ing := p.index.IngestTiming()
 	for _, ph := range [...]struct {
 		name string
