@@ -29,9 +29,10 @@ type leafAt struct {
 
 // rebScratch is the rebalance pass's reusable workspace, owned by the
 // tree (mutations are single-caller by contract): the freed-node set,
-// the leaf-walk stack, the collected delinquent/oversized lists, and
-// the pass's task and pending-decision lists. Reuse is what keeps
-// steady-state UpdateFrame allocation-free.
+// the leaf-walk stack, the collected delinquent/oversized lists, the
+// pass's task and pending-decision lists, and the flat buffers every
+// task of a step collects into. Reuse is what keeps steady-state
+// UpdateFrame allocation-free.
 type rebScratch struct {
 	freed      freedSet
 	stack      []leafItem
@@ -39,22 +40,29 @@ type rebScratch struct {
 	oversized  []int32
 	tasks      []rebTask
 	pend       []rebPending
+
+	// Per-step collection buffers: each task owns the ranges it
+	// appended. pts/idxs hold point copies, so they are dropped at the
+	// end of a pass; a settled tree keeps none.
+	pts          []geom.Point
+	idxs         []int32
+	freedNodes   []int32
+	freedBuckets []int32
 }
 
 // rebTask is one planned subtree rebuild of the phased rebalance: the
-// kept root, the points collected out of its subtree, the node/bucket
-// slots the collection freed (recorded here and pushed onto the tree's
-// free lists only at commit, so the free-list LIFO replays in exactly
-// the one-rebuild-at-a-time interleaving), and the staged shape.
+// kept root, the range of the step's buffers holding the points
+// collected out of its subtree, the ranges holding the node/bucket
+// slots the collection freed (pushed onto the tree's free lists only at
+// commit, so the free-list LIFO replays in exactly the
+// one-rebuild-at-a-time interleaving), and the staged shape.
 type rebTask struct {
 	target int32
 	axis   geom.Axis
 
-	pts  []geom.Point
-	idxs []int32
-
-	freedNodes   []int32
-	freedBuckets []int32
+	lo, hi   int32 // points: reb.pts/reb.idxs[lo:hi]
+	fn0, fn1 int32 // freed nodes: reb.freedNodes[fn0:fn1]
+	fb0, fb1 int32 // freed buckets: reb.freedBuckets[fb0:fb1]
 
 	nodes []stagedNode
 	root  int32
@@ -185,6 +193,7 @@ func (t *Tree) rebalance(lower, upper int) UpdateResult {
 		merged := 0
 		tasks = tasks[:0]
 		pend = pend[:0]
+		t.reb.resetStep()
 		for _, d := range del {
 			if freed.has(d.node) {
 				pend = append(pend, rebPending{node: d.node, task: -1})
@@ -227,6 +236,7 @@ func (t *Tree) rebalance(lower, upper int) UpdateResult {
 	// Splitting has no admission guards, so it is a straight
 	// plan/stage/commit fan-out over the oversized leaves.
 	tasks = tasks[:0]
+	t.reb.resetStep()
 	for _, leaf := range t.collectOversized(upper) {
 		res.Split++
 		tasks = t.appendCollectTask(tasks, leaf, freed, &res)
@@ -235,14 +245,11 @@ func (t *Tree) rebalance(lower, upper int) UpdateResult {
 	for i := range tasks {
 		t.commitRebuild(&tasks[i], freed, &res)
 	}
-	// Drop the tasks' buffer references (they hold point copies from the
-	// largest round) while keeping the headers for reuse.
-	tasks = tasks[:cap(tasks)]
-	for i := range tasks {
-		tasks[i] = rebTask{}
-	}
 	t.reb.tasks = tasks[:0]
 	t.reb.pend = pend[:0]
+	// Drop the point copies of the largest step; the task headers with
+	// their staged-node buffers and the freed-slot lists stay for reuse.
+	t.reb.pts, t.reb.idxs = nil, nil
 	// Rebuilds retire the merged/split leaves' old arena spans; repack the
 	// arena once the retired slots dominate ("compaction on retire").
 	t.maybeCompact()
@@ -251,36 +258,60 @@ func (t *Tree) rebalance(lower, upper int) UpdateResult {
 	return res
 }
 
+// resetStep empties the collection buffers for the next step; the
+// previous step's tasks are all committed by then.
+func (r *rebScratch) resetStep() {
+	r.pts, r.idxs = r.pts[:0], r.idxs[:0]
+	r.freedNodes, r.freedBuckets = r.freedNodes[:0], r.freedBuckets[:0]
+}
+
 // appendCollectTask plans one subtree rebuild: it collects the subtree
 // below idx (points copied out, holes accounted, slots marked freed) but
 // defers the free-list pushes into the task for replay at commit time.
+// A task header left over from an earlier step is reused with its
+// staged-node buffer.
 func (t *Tree) appendCollectTask(tasks []rebTask, idx int32, freed *freedSet, res *UpdateResult) []rebTask {
-	tasks = append(tasks, rebTask{target: idx})
+	if len(tasks) < cap(tasks) {
+		tasks = tasks[:len(tasks)+1]
+	} else {
+		tasks = append(tasks, rebTask{})
+	}
 	tk := &tasks[len(tasks)-1]
-	t.collectDeferred(idx, tk, freed, true)
-	res.PointsResorted += len(tk.pts)
+	r := &t.reb
+	*tk = rebTask{
+		target: idx,
+		lo:     int32(len(r.pts)),
+		fn0:    int32(len(r.freedNodes)),
+		fb0:    int32(len(r.freedBuckets)),
+		nodes:  tk.nodes[:0],
+	}
+	t.collectDeferred(idx, freed, true)
+	tk.hi, tk.fn1, tk.fb1 = int32(len(r.pts)), int32(len(r.freedNodes)), int32(len(r.freedBuckets))
+	res.PointsResorted += int(tk.hi - tk.lo)
 	tk.axis = geom.Axis(t.depthOf(idx) % geom.Dims)
 	return tasks
 }
 
 // collectDeferred gathers every point below idx, in DFS order, into the
-// task (rebuilt as geom.Points: they leave the arena here, so later span
-// retirement cannot clobber them), frees the subtree's buckets and child
-// nodes, and clears the kept root's links. The free-list pushes are
-// recorded into the task instead of applied; every other side effect —
-// hole accounting, bucket clearing, freed marks — happens eagerly.
-func (t *Tree) collectDeferred(idx int32, tk *rebTask, freed *freedSet, keepRoot bool) {
+// step's buffers (rebuilt as geom.Points: they leave the arena here, so
+// later span retirement cannot clobber them), frees the subtree's
+// buckets and child nodes, and clears the kept root's links. The
+// free-list pushes are recorded in the step's freed-slot lists instead
+// of applied; every other side effect — hole accounting, bucket
+// clearing, freed marks — happens eagerly.
+func (t *Tree) collectDeferred(idx int32, freed *freedSet, keepRoot bool) {
+	r := &t.reb
 	nd := t.nodes[idx]
 	if nd.Leaf() {
-		tk.pts = t.AppendBucketPoints(tk.pts, nd.Bucket)
-		tk.idxs = append(tk.idxs, t.BucketIndices(nd.Bucket)...)
+		r.pts = t.AppendBucketPoints(r.pts, nd.Bucket)
+		r.idxs = append(r.idxs, t.BucketIndices(nd.Bucket)...)
 		t.arenaHole += int(t.buckets[nd.Bucket].cap)
 		t.buckets[nd.Bucket] = Bucket{}
 		t.liveBuckets--
-		tk.freedBuckets = append(tk.freedBuckets, nd.Bucket)
+		r.freedBuckets = append(r.freedBuckets, nd.Bucket)
 	} else {
-		t.collectDeferred(nd.Left, tk, freed, false)
-		t.collectDeferred(nd.Right, tk, freed, false)
+		t.collectDeferred(nd.Left, freed, false)
+		t.collectDeferred(nd.Right, freed, false)
 	}
 	if keepRoot {
 		t.nodes[idx].Left = nilIdx
@@ -289,11 +320,12 @@ func (t *Tree) collectDeferred(idx int32, tk *rebTask, freed *freedSet, keepRoot
 		return
 	}
 	freed.mark(idx)
-	tk.freedNodes = append(tk.freedNodes, idx)
+	r.freedNodes = append(r.freedNodes, idx)
 }
 
 // stageRebTasks computes each task's subtree shape on up to `workers`
-// goroutines. Staging reads and sorts only task-owned buffers. One
+// goroutines. Staging reads and sorts only the task's own ranges of the
+// step's buffers. One
 // worker runs without the closure, so a warm pass allocates nothing.
 func (t *Tree) stageRebTasks(tasks []rebTask, target, workers int) {
 	if workers <= 1 {
@@ -308,7 +340,7 @@ func (t *Tree) stageRebTasks(tasks []rebTask, target, workers int) {
 // stageRebTask computes one task's subtree shape.
 func (t *Tree) stageRebTask(tk *rebTask, target int) {
 	tk.nodes = tk.nodes[:0]
-	tk.root = stageRebuild(&tk.nodes, tk.pts, tk.idxs, 0, int32(len(tk.pts)), tk.axis, target)
+	tk.root = stageRebuild(&tk.nodes, t.reb.pts, t.reb.idxs, tk.lo, tk.hi, tk.axis, target)
 }
 
 // stageRebuild builds a subtree shape over the task's points into a
@@ -340,8 +372,8 @@ func stageRebuild(nodes *[]stagedNode, pts []geom.Point, idxs []int32, lo, hi in
 // in order, then emit the staged subtree through the allocators — the
 // [frees][allocations] bracket of one rebuild done on its own.
 func (t *Tree) commitRebuild(tk *rebTask, freed *freedSet, res *UpdateResult) {
-	t.freeNodes = append(t.freeNodes, tk.freedNodes...)
-	t.freeBuckets = append(t.freeBuckets, tk.freedBuckets...)
+	t.freeNodes = append(t.freeNodes, t.reb.freedNodes[tk.fn0:tk.fn1]...)
+	t.freeBuckets = append(t.freeBuckets, t.reb.freedBuckets[tk.fb0:tk.fb1]...)
 	t.commitStaged(tk, tk.root, tk.target, freed, res)
 }
 
@@ -356,7 +388,7 @@ func (t *Tree) commitStaged(tk *rebTask, si, idx int32, freed *freedSet, res *Up
 		n := sn.hi - sn.lo
 		off := t.arenaReserve(n)
 		for i := int32(0); i < n; i++ {
-			t.arenaSet(off+i, tk.pts[sn.lo+i], tk.idxs[sn.lo+i])
+			t.arenaSet(off+i, t.reb.pts[sn.lo+i], t.reb.idxs[sn.lo+i])
 		}
 		bk := &t.buckets[b]
 		bk.off, bk.n, bk.cap = off, n, n
