@@ -18,6 +18,11 @@
 // the current run (the pair need not exist in the baseline); with
 // -max-overhead the enabled/disabled ns ratio is gated, bounding what a
 // feature — e.g. the flight recorder — may cost the hot path.
+//
+// Every report is stamped with the host it was produced on (CPU model,
+// nproc, GOMAXPROCS, Go version). The make targets run benchjson right
+// after the benchmarks it reads, so its own process sees the same host
+// and the same GOMAXPROCS setting as the current run.
 package main
 
 import (
@@ -27,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,8 +67,44 @@ type Overhead struct {
 	Ratio        float64     `json:"ratio"`
 }
 
-// Report is the BENCH_hotpath.json schema.
+// Host is the machine a report was produced on.
+type Host struct {
+	CPU        string `json:"cpu"`
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+// currentHost describes the machine this process runs on.
+func currentHost() Host {
+	return Host{
+		CPU:        cpuModel(),
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+	}
+}
+
+// cpuModel reads the CPU model name from /proc/cpuinfo, falling back to
+// the architecture where that file does not exist.
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return runtime.GOARCH
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return runtime.GOARCH
+}
+
+// Report is the BENCH_*.json schema.
 type Report struct {
+	Host         Host                  `json:"host"`
 	BaselineFile string                `json:"baseline_file"`
 	CurrentFile  string                `json:"current_file"`
 	Benchmarks   map[string]Comparison `json:"benchmarks"`
@@ -98,6 +140,7 @@ func main() {
 	}
 
 	report := Report{
+		Host:         currentHost(),
 		BaselineFile: *baselinePath,
 		CurrentFile:  *currentPath,
 		Benchmarks:   make(map[string]Comparison),

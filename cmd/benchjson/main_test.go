@@ -94,3 +94,10 @@ func TestAddOverheads(t *testing.T) {
 		t.Fatalf("malformed pair must be reported, got %v", failed)
 	}
 }
+
+func TestCurrentHostStamped(t *testing.T) {
+	h := currentHost()
+	if h.CPU == "" || h.NumCPU < 1 || h.GOMAXPROCS < 1 || !strings.HasPrefix(h.GoVersion, "go") {
+		t.Fatalf("incomplete host stamp: %+v", h)
+	}
+}

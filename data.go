@@ -33,9 +33,14 @@ func WithCampusScene() FrameOption {
 }
 
 // SyntheticFrames simulates a LiDAR drive and returns `count` successive
-// frames, each downsampled to exactly n points (ground points removed) —
+// frames, each downsampled to at most n points (ground points removed) —
 // the successive-frame workload the paper benchmarks with. The same seed
 // always produces the same drive.
+//
+// A frame whose ground-removed scan has fewer than n returns is returned
+// whole, so it is shorter than n: at n = 30,000, seed 126's first frame
+// has 29,766 points. Callers that need a fixed size must size their work
+// to len(frame).
 func SyntheticFrames(n, count int, seed int64, opts ...FrameOption) [][]Point {
 	cfg := lidar.DefaultSequenceConfig()
 	cfg.Frames = count
