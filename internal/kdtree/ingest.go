@@ -28,16 +28,15 @@ import (
 // IngestTiming is the phase breakdown of the most recent ingest
 // operation on a tree: structure build (sampling + splits), point
 // placement (split into the read-only planning pass and the arena
-// scatter), and rebalancing. A composite
-// operation (Build, UpdateFrame) reports every phase it ran; phases the
-// operation does not have stay zero.
+// scatter), and rebalancing. A composite operation (Build, UpdateFrame)
+// reports every phase it ran; phases the operation does not have stay
+// zero.
 type IngestTiming struct {
 	// SplitsSeconds covers sampling and split construction
 	// (BuildStructure's work).
 	SplitsSeconds float64
 	// PlanSeconds and ScatterSeconds split PlaceSeconds into the
-	// read-only leaf-assignment/layout-planning pass and the arena
-	// fill.
+	// read-only leaf-assignment/layout-planning pass and the arena fill.
 	PlanSeconds    float64
 	ScatterSeconds float64
 	// PlaceSeconds covers point placement end to end.

@@ -176,7 +176,8 @@ func (t *Tree) arenaSet(i int32, p geom.Point, ref int32) {
 	t.arenaIdx[i] = ref
 }
 
-// arenaMove copies the n slots starting at src to dst (non-overlapping).
+// arenaMove copies the n slots starting at src to dst. The ranges may
+// overlap (compaction slides spans toward the front); copy handles that.
 func (t *Tree) arenaMove(dst, src, n int32) {
 	copy(t.arenaX[dst:dst+n], t.arenaX[src:src+n])
 	copy(t.arenaY[dst:dst+n], t.arenaY[src:src+n])

@@ -160,8 +160,8 @@ func (t *Tree) collectOversized(upper int) []int32 {
 // Each step is phased: plan the admitted rebuilds in list order
 // (running every collection in list order, with free-list pushes
 // deferred into the task), stage each task's subtree shape on the
-// workers (chooseSplit over task-private point buffers — no shared
-// state), then commit in plan order — each commit first replays its
+// workers (chooseSplit over the task's own range of the step's point
+// buffers — no shared state), then commit in plan order — each commit first replays its
 // task's frees and then allocates through t.node()/t.bucket(), which
 // reproduces the one-rebuild-at-a-time free-list interleaving and
 // therefore its exact node/bucket numbering.
