@@ -18,8 +18,8 @@ MIN_ALLOC_RED ?= 0.9
 # stay at or below this ns ratio. Set MAX_OVERHEAD=0 to report without
 # gating (noisy/shared machines).
 MAX_OVERHEAD  ?= 1.05
-# bench-ingest gate: the parallel ingest benchmarks must beat the
-# checked-in serial (-cpu 1) baseline by this factor. The speedup only
+# bench-ingest gate: the multi-worker ingest benchmarks must beat the
+# checked-in one-worker (-cpu 1) baseline by this factor. The speedup only
 # exists with real cores, so the gate arms itself at 1.8 on hosts with
 # >= 4 CPUs and disarms (0 = report only) below that — single-CPU
 # runners measure an honest ~1.0x and must not fail on it.
@@ -190,9 +190,9 @@ bench-hot:
 
 ## bench-ingest: run the frame-ingest benchmarks (BenchmarkIngest*) at
 ## the host's full core count, compare them against the checked-in
-## serial baseline (testdata/bench/ingest_baseline.txt, produced by
+## one-worker baseline (testdata/bench/ingest_baseline.txt, produced by
 ## bench-ingest-baseline with -cpu 1), and write BENCH_ingest.json.
-## The parallel build/place/rebalance/frame benchmarks are gated on
+## The default-worker build/place/rebalance/frame benchmarks are gated on
 ## INGEST_MIN_SPEEDUP, which self-disarms on hosts with < 4 CPUs
 ## (docs/performance.md).
 bench-ingest:
@@ -206,10 +206,9 @@ bench-ingest:
 		-min-speedup $(INGEST_MIN_SPEEDUP)
 	@echo "bench-ingest: OK (BENCH_ingest.json written)"
 
-## bench-ingest-baseline: regenerate the serial ingest baseline by
+## bench-ingest-baseline: regenerate the one-worker ingest baseline by
 ## pinning the whole benchmark process to one CPU (-cpu 1 makes
-## Parallelism 0 resolve to a single worker, i.e. the exact serial
-## path).
+## Parallelism 0 resolve to a single worker).
 bench-ingest-baseline:
 	$(GO) test -run '^$$' -bench '^BenchmarkIngest' -benchmem -benchtime $(BENCHTIME) \
 		-cpu 1 ./internal/kdtree | tee testdata/bench/ingest_baseline.txt
