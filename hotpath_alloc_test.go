@@ -65,6 +65,48 @@ func TestQueryIntoZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestQueryBatchIntoZeroAllocs guards the one batch entry point the
+// serving engine runs every request through: at one worker, with a warm
+// pool, caller-owned result regions and an uncancellable context, the
+// k-bounded modes make no allocation per call, and the summed work
+// counters come back populated.
+func TestQueryBatchIntoZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	ix, queries := allocIndexAndQueries(t)
+	ctx := context.Background()
+	const k = 8
+	backing := make([]quicknn.Neighbor, len(queries)*k)
+	results := make([][]quicknn.Neighbor, len(queries))
+	for _, tc := range []struct {
+		name string
+		opts quicknn.QueryOptions
+	}{
+		{"approx", quicknn.QueryOptions{K: k, Workers: 1}},
+		{"exact", quicknn.QueryOptions{K: k, Mode: quicknn.ModeExact, Workers: 1}},
+	} {
+		var work quicknn.QueryStats
+		fn := func() {
+			for qi := range results {
+				results[qi] = backing[qi*k : qi*k : (qi+1)*k]
+			}
+			var err error
+			work, err = ix.QueryBatchInto(ctx, queries, tc.opts, results)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		fn() // warm-up
+		if allocs := testing.AllocsPerRun(50, fn); allocs != 0 {
+			t.Errorf("QueryBatchInto/%s: %v allocs/op, want 0", tc.name, allocs)
+		}
+		if work.TraversalSteps == 0 || work.PointsScanned == 0 || work.BucketsVisited < len(queries) || work.CandInserts == 0 {
+			t.Errorf("QueryBatchInto/%s: work counters not populated: %+v", tc.name, work)
+		}
+	}
+}
+
 // TestQueryBatchMatchesQuery pins the flat-backing batch path (serial and
 // parallel) to per-query Query results.
 func TestQueryBatchMatchesQuery(t *testing.T) {

@@ -84,68 +84,62 @@ func BenchmarkHotQuery(b *testing.B) {
 	}
 }
 
-// hotRecordLoop is the shared body of the flight-recorder overhead pair:
-// one op is an 8-query request through QueryInto with a warm scratch —
-// the serving engine's per-request unit of work.
+// The flight-recorder overhead pair: one op is an 8-query request run
+// as one QueryBatchInto call into caller-owned regions — the serving
+// engine's per-request unit of work. hotRecordRequest is the shared
+// body; it returns the request's summed work counters.
 const hotRecordQueries = 8
+
+func hotRecordRequest(b *testing.B, ix *quicknn.Index, queries []quicknn.Point, i int, results [][]quicknn.Neighbor, backing []quicknn.Neighbor) quicknn.QueryStats {
+	const k = 8
+	lo := (i * hotRecordQueries) % len(queries)
+	for qi := range results {
+		results[qi] = backing[qi*k : qi*k : (qi+1)*k]
+	}
+	work, err := ix.QueryBatchInto(context.Background(), queries[lo:lo+hotRecordQueries],
+		quicknn.QueryOptions{K: k, Workers: 1}, results)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return work
+}
 
 // BenchmarkHotFlightRecordOff is the baseline half of the overhead pair:
 // the 8-query request with recording disabled. cmd/benchjson gates
 // On/Off at MAX_OVERHEAD in `make bench-hot`.
 func BenchmarkHotFlightRecordOff(b *testing.B) {
 	ix, queries := hotIndexAndQueries(b, 20000, 2048)
-	ctx := context.Background()
-	opts := quicknn.QueryOptions{K: 8}
-	sc := quicknn.NewScratch()
-	dst := make([]quicknn.Neighbor, 0, 64)
+	results := make([][]quicknn.Neighbor, hotRecordQueries)
+	backing := make([]quicknn.Neighbor, hotRecordQueries*8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for q := 0; q < hotRecordQueries; q++ {
-			var err error
-			dst, err = ix.QueryInto(ctx, queries[(i*hotRecordQueries+q)%len(queries)], opts, sc, dst[:0])
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
+		hotRecordRequest(b, ix, queries, i, results, backing)
 	}
 }
 
 // BenchmarkHotFlightRecordOn adds the full per-request recording work the
-// serving engine performs: a stopwatch, per-query work-stat accumulation,
-// flight-record assembly, the ring write, and the tail-sampler update.
+// serving engine performs: a stopwatch, the request's summed work
+// counters, flight-record assembly, the ring write, and the tail-sampler
+// update.
 func BenchmarkHotFlightRecordOn(b *testing.B) {
 	ix, queries := hotIndexAndQueries(b, 20000, 2048)
-	ctx := context.Background()
-	opts := quicknn.QueryOptions{K: 8}
-	sc := quicknn.NewScratch()
-	dst := make([]quicknn.Neighbor, 0, 64)
+	results := make([][]quicknn.Neighbor, hotRecordQueries)
+	backing := make([]quicknn.Neighbor, hotRecordQueries*8)
 	fr := obs.NewFlightRecorder(1024)
 	tail := obs.NewTailSampler(0.99)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sw := obs.StartStopwatch()
-		var trav, buckets, scanned, inserts uint32
-		for q := 0; q < hotRecordQueries; q++ {
-			var err error
-			dst, err = ix.QueryInto(ctx, queries[(i*hotRecordQueries+q)%len(queries)], opts, sc, dst[:0])
-			if err != nil {
-				b.Fatal(err)
-			}
-			st := sc.LastStats()
-			trav += uint32(st.TraversalSteps)
-			buckets += uint32(st.BucketsVisited)
-			scanned += uint32(st.PointsScanned)
-			inserts += uint32(st.CandInserts)
-		}
+		work := hotRecordRequest(b, ix, queries, i, results, backing)
 		total := sw.Seconds()
 		fr.Record(obs.FlightRecord{
 			ID: uint64(i + 1), Epoch: 1,
 			Queries: hotRecordQueries, Batch: hotRecordQueries,
 			K: 8, Exec: total, Total: total,
-			TraversalSteps: trav, BucketsVisited: buckets,
-			PointsScanned: scanned, CandInserts: inserts,
+			TraversalSteps: uint32(work.TraversalSteps), BucketsVisited: uint32(work.BucketsVisited),
+			PointsScanned: uint32(work.PointsScanned), CandInserts: uint32(work.CandInserts),
 			Outcome: obs.OutcomeOK,
 		})
 		tail.Observe(total)

@@ -37,8 +37,8 @@ const (
 	// SubmitDelay delays request submission before it reaches the
 	// bounded queue (slow client path / admission stall).
 	SubmitDelay Point = iota
-	// WorkerStall stalls a batch worker before it executes a query
-	// (stuck worker).
+	// WorkerStall stalls a batch goroutine before it executes a
+	// request (stuck worker).
 	WorkerStall
 	// BuildSlow slows the index build/update of a frame advance.
 	BuildSlow

@@ -19,13 +19,46 @@ import (
 // small, cache-resident node array), then counting-sorts the query indices
 // by bucket and executes them group by group, so each arena span is
 // fetched once per batch and scanned while L1-resident for all of its
-// queries.
+// queries. The backtracking modes profit too: co-located queries
+// backtrack into largely overlapping bucket sets.
 //
 // Grouping is a pure reordering. Each query's result is a function of
 // (tree, query) alone and is written to its own results[qi] region, and
 // the summed SearchStats are order-independent, so the output is
 // byte-identical to running the queries one by one (the equivalence suite
 // asserts exactly that).
+
+// BatchMode selects the search SearchBatch runs for every query.
+type BatchMode uint8
+
+const (
+	// BatchApprox scans each query's primary bucket only (SearchApprox).
+	BatchApprox BatchMode = iota
+	// BatchExact runs the full backtracking search (SearchExact).
+	BatchExact
+	// BatchChecks runs the best-bin-first search under a reference-point
+	// budget (SearchChecks).
+	BatchChecks
+	// BatchRadius collects every point within a radius (SearchRadius).
+	BatchRadius
+)
+
+// BatchSpec parameterizes SearchBatch: the mode plus the knobs it reads.
+type BatchSpec struct {
+	Mode BatchMode
+	// K is the neighbor count of the k-bounded modes (must be > 0 there).
+	K int
+	// Checks is BatchChecks' reference-point budget.
+	Checks int
+	// Radius is BatchRadius' search radius.
+	Radius float64
+}
+
+// batchRun is the number of queries of the grouped order a batch worker
+// claims per atomic fetch: runs keep a group's locality within one
+// worker, yet split a large group — one dense cluster — across workers;
+// the worker count is capped at one per run.
+const batchRun = 16
 
 // batchPlan is the reusable grouped execution order for one query batch.
 type batchPlan struct {
@@ -82,155 +115,145 @@ func (t *Tree) plan(queries []geom.Point, pl *batchPlan) {
 	}
 }
 
-// SearchApproxBatch runs the approximate search for every query, appending
-// query qi's neighbors to results[qi] (which must be a caller-provided
-// slice with capacity for k more entries; regions of one flat backing
-// array in practice). Queries execute grouped by primary leaf, fanned out
-// over workers goroutines when workers > 1 — callers must then ensure the
-// results regions do not alias. Per-query output and the summed stats are
-// identical to calling SearchApproxInto per query.
+// SearchBatch runs spec's search for every query, appending query qi's
+// neighbors to results[qi]. In the k-bounded modes results[qi] should be
+// a caller-provided region with capacity for K more entries (regions of
+// one flat backing array in practice), so nothing reallocates;
+// BatchRadius appends as many matches as it finds. Queries execute in
+// leaf-grouped order, fanned out over up to workers goroutines (at most
+// one per batchRun queries; the caller's goroutine is one of them) —
+// callers must then ensure the results regions do not alias. Per-query
+// output, the summed stats and the summed candidate-insert count are
+// identical to calling the matching *Into search per query and adding up
+// its stats and Scratch.CandInserts.
 //
-// stop, when non-nil, is polled once per group; a true return abandons the
-// batch (stopped=true, results partially filled).
-func (t *Tree) SearchApproxBatch(queries []geom.Point, k, workers int, results [][]nn.Neighbor, stop func() bool) (stats SearchStats, stopped bool) {
-	if len(queries) == 0 {
-		return SearchStats{}, false
+// stop, when non-nil, is polled whenever a worker enters a new leaf group
+// and, in the backtracking modes, before every bucket scan; a true return
+// abandons the batch (stopped=true, results partially filled).
+func (t *Tree) SearchBatch(queries []geom.Point, spec BatchSpec, workers int, results [][]nn.Neighbor, stop func() bool) (stats SearchStats, inserts int, stopped bool) {
+	n := len(queries)
+	if n == 0 {
+		return SearchStats{}, 0, false
 	}
 	pl := batchPlanPool.Get().(*batchPlan)
 	defer batchPlanPool.Put(pl)
 	t.plan(queries, pl)
+	workers = min(workers, (n+batchRun-1)/batchRun)
 	if workers <= 1 {
 		s := getScratch()
 		defer putScratch(s)
-		return t.runApproxGroups(queries, k, pl, 0, len(t.buckets), s, results, stop)
+		return t.runOrder(queries, spec, pl, pl.order, s, results, stop)
 	}
+	return t.fanOut(queries, spec, pl, workers, results, stop)
+}
+
+// fanOut runs pl's grouped order on workers goroutines, the caller's
+// included, each claiming batchRun-query runs until the order is
+// exhausted or a run stops. Kept apart from SearchBatch so the one-worker
+// path never heap-allocates the shared state the goroutines capture.
+func (t *Tree) fanOut(queries []geom.Point, spec BatchSpec, pl *batchPlan, workers int, results [][]nn.Neighbor, stop func() bool) (SearchStats, int, bool) {
+	n := len(queries)
 	var (
 		next    atomic.Int64
 		aborted atomic.Bool
 		mu      sync.Mutex
 		wg      sync.WaitGroup
+		stats   SearchStats
+		inserts int
 	)
-	nb := len(t.buckets)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	work := func() {
+		s := getScratch()
+		defer putScratch(s)
+		var local SearchStats
+		localIns := 0
+		for !aborted.Load() {
+			lo := int(next.Add(batchRun)) - batchRun
+			if lo >= n {
+				break
+			}
+			hi := min(lo+batchRun, n)
+			st, ins, stp := t.runOrder(queries, spec, pl, pl.order[lo:hi], s, results, stop)
+			local.Add(st)
+			localIns += ins
+			if stp {
+				aborted.Store(true)
+			}
+		}
+		mu.Lock()
+		stats.Add(local)
+		inserts += localIns
+		mu.Unlock()
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			s := getScratch()
-			defer putScratch(s)
-			var local SearchStats
-			for {
-				b := int(next.Add(1)) - 1
-				if b >= nb || aborted.Load() {
-					break
-				}
-				st, stp := t.runApproxGroups(queries, k, pl, b, b+1, s, results, stop)
-				local.Add(st)
-				if stp {
-					aborted.Store(true)
-					break
-				}
-			}
-			mu.Lock()
-			stats.Add(local)
-			mu.Unlock()
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
-	return stats, aborted.Load()
+	return stats, inserts, aborted.Load()
 }
 
-// runApproxGroups executes the planned groups for buckets [lo, hi) on one
-// goroutine. Empty groups cost one slice-bound comparison.
-func (t *Tree) runApproxGroups(queries []geom.Point, k int, pl *batchPlan, lo, hi int, s *Scratch, results [][]nn.Neighbor, stop func() bool) (stats SearchStats, stopped bool) {
-	for b := lo; b < hi; b++ {
-		group := pl.order[pl.starts[b]:pl.starts[b+1]]
-		if len(group) == 0 {
+// runOrder executes the queries listed in order — a run of pl's grouped
+// order — on one goroutine with scratch s.
+func (t *Tree) runOrder(queries []geom.Point, spec BatchSpec, pl *batchPlan, order []int32, s *Scratch, results [][]nn.Neighbor, stop func() bool) (stats SearchStats, inserts int, stopped bool) {
+	group := int32(-1)
+	for _, qi := range order {
+		if b := pl.leaf[qi]; b != group {
+			group = b
+			if stop != nil && stop() {
+				return stats, inserts, true
+			}
+		}
+		q := queries[qi]
+		switch spec.Mode {
+		case BatchApprox:
+			// The plan already descended: scan the primary bucket.
+			s.initCands(spec.K)
+			stats.PointsScanned += t.scanBucket(group, q, s)
+			stats.TraversalSteps += int(pl.depth[qi])
+			stats.BucketsVisited++
+		case BatchExact:
+			s.initCands(spec.K)
+			if t.searchExactCore(q, s, &stats, stop, nil) {
+				return stats, inserts, true
+			}
+		case BatchChecks:
+			// The budget counts this query's points only.
+			var qs SearchStats
+			s.initCands(spec.K)
+			stp := t.searchChecksCore(q, spec.Checks, s, &qs, stop)
+			stats.Add(qs)
+			if stp {
+				return stats, inserts, true
+			}
+		case BatchRadius:
+			res, stp := t.searchRadiusCore(q, spec.Radius, s, results[qi], &stats, stop)
+			if stp {
+				return stats, inserts, true
+			}
+			results[qi] = res
+			inserts += s.inserts
 			continue
 		}
-		if stop != nil && stop() {
-			return stats, true
-		}
-		for _, qi := range group {
-			s.initCands(k)
-			scanned := t.scanBucket(int32(b), queries[qi], s)
-			results[qi] = t.appendCands(results[qi], s.cands)
-			stats.TraversalSteps += int(pl.depth[qi])
-			stats.PointsScanned += scanned
-			stats.BucketsVisited++
-		}
-	}
-	return stats, false
-}
-
-// SearchExactBatch is SearchApproxBatch's exact-mode counterpart: the full
-// backtracking search per query, executed in leaf-grouped order. Grouping
-// helps here too — co-located queries backtrack into largely overlapping
-// bucket sets, so the spans a group pulls in are reused across its
-// queries. stop is polled once per query (the per-bucket polling of the
-// underlying search is preserved on top).
-func (t *Tree) SearchExactBatch(queries []geom.Point, k, workers int, results [][]nn.Neighbor, stop func() bool) (stats SearchStats, stopped bool) {
-	if len(queries) == 0 {
-		return SearchStats{}, false
-	}
-	pl := batchPlanPool.Get().(*batchPlan)
-	defer batchPlanPool.Put(pl)
-	t.plan(queries, pl)
-	if workers <= 1 {
-		s := getScratch()
-		defer putScratch(s)
-		return t.runExactOrder(queries, k, pl.order, s, results, stop)
-	}
-	var (
-		next    atomic.Int64
-		aborted atomic.Bool
-		mu      sync.Mutex
-		wg      sync.WaitGroup
-	)
-	// Claim exactGrain-query runs of the grouped order so a group's
-	// locality is kept within one worker.
-	const exactGrain = 16
-	n := len(queries)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := getScratch()
-			defer putScratch(s)
-			var local SearchStats
-			for {
-				lo := int(next.Add(exactGrain)) - exactGrain
-				if lo >= n || aborted.Load() {
-					break
-				}
-				hi := lo + exactGrain
-				if hi > n {
-					hi = n
-				}
-				st, stp := t.runExactOrder(queries, k, pl.order[lo:hi], s, results, stop)
-				local.Add(st)
-				if stp {
-					aborted.Store(true)
-					break
-				}
-			}
-			mu.Lock()
-			stats.Add(local)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	return stats, aborted.Load()
-}
-
-// runExactOrder runs the exact search for the given query indices in
-// order, appending into each query's results region.
-func (t *Tree) runExactOrder(queries []geom.Point, k int, order []int32, s *Scratch, results [][]nn.Neighbor, stop func() bool) (stats SearchStats, stopped bool) {
-	for _, qi := range order {
-		s.initCands(k)
-		if t.searchExactCore(queries[qi], s, &stats, stop, nil) {
-			return stats, true
-		}
 		results[qi] = t.appendCands(results[qi], s.cands)
+		inserts += s.inserts
 	}
-	return stats, false
+	return stats, inserts, false
+}
+
+// SearchApproxBatch runs the approximate search for every query; it is
+// SearchBatch in BatchApprox mode without the insert count.
+func (t *Tree) SearchApproxBatch(queries []geom.Point, k, workers int, results [][]nn.Neighbor, stop func() bool) (stats SearchStats, stopped bool) {
+	stats, _, stopped = t.SearchBatch(queries, BatchSpec{Mode: BatchApprox, K: k}, workers, results, stop)
+	return stats, stopped
+}
+
+// SearchExactBatch runs the exact search for every query; it is
+// SearchBatch in BatchExact mode without the insert count.
+func (t *Tree) SearchExactBatch(queries []geom.Point, k, workers int, results [][]nn.Neighbor, stop func() bool) (stats SearchStats, stopped bool) {
+	stats, _, stopped = t.SearchBatch(queries, BatchSpec{Mode: BatchExact, K: k}, workers, results, stop)
+	return stats, stopped
 }

@@ -3,8 +3,10 @@ package kdtree
 import (
 	"bytes"
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"github.com/quicknn/quicknn/internal/geom"
@@ -273,6 +275,80 @@ func TestSearchAllMatchesSingles(t *testing.T) {
 		}
 		if statsE != wantStatsE {
 			t.Fatalf("%s: SearchAllExact stats %+v, want %+v", name, statsE, wantStatsE)
+		}
+	}
+}
+
+// TestSearchBatchMatchesSingles pins the one batch runner, in all four
+// modes and at several worker counts, to the single-query *Into searches:
+// byte-identical neighbors per query, and stats and candidate inserts
+// equal to the per-query sums.
+func TestSearchBatchMatchesSingles(t *testing.T) {
+	queries := equivalenceQueries(150, 47)
+	for name, tree := range treeVariants(t) {
+		for _, spec := range []BatchSpec{
+			{Mode: BatchApprox, K: 10},
+			{Mode: BatchExact, K: 10},
+			{Mode: BatchChecks, K: 6, Checks: 700},
+			{Mode: BatchRadius, Radius: 2},
+		} {
+			s := NewScratch()
+			want := make([][]nn.Neighbor, len(queries))
+			var wantStats SearchStats
+			wantInserts := 0
+			for qi, q := range queries {
+				var st SearchStats
+				switch spec.Mode {
+				case BatchApprox:
+					want[qi], st = tree.SearchApproxInto(q, spec.K, s, nil)
+				case BatchExact:
+					want[qi], st = tree.SearchExactInto(q, spec.K, s, nil)
+				case BatchChecks:
+					want[qi], st = tree.SearchChecksInto(q, spec.K, spec.Checks, s, nil)
+				case BatchRadius:
+					want[qi], st = tree.SearchRadiusInto(q, spec.Radius, s, nil)
+				}
+				wantStats.Add(st)
+				wantInserts += s.CandInserts()
+			}
+			for _, workers := range []int{1, 2, 4} {
+				label := fmt.Sprintf("%s/mode%d/workers%d", name, spec.Mode, workers)
+				got := make([][]nn.Neighbor, len(queries))
+				stats, inserts, stopped := tree.SearchBatch(queries, spec, workers, got, nil)
+				if stopped {
+					t.Fatalf("%s: stopped without a stop predicate", label)
+				}
+				for qi := range queries {
+					diffNeighbors(t, label, got[qi], want[qi], SearchStats{}, SearchStats{})
+				}
+				if stats != wantStats || inserts != wantInserts {
+					t.Fatalf("%s: stats %+v inserts %d, want %+v and %d", label, stats, inserts, wantStats, wantInserts)
+				}
+			}
+		}
+	}
+}
+
+// TestSearchBatchStops checks that a stop predicate abandons the batch in
+// every mode and at every worker count.
+func TestSearchBatchStops(t *testing.T) {
+	tree := mustBuild(t, clusteredPoints(5000, 48), Config{BucketSize: 64}, 49)
+	queries := equivalenceQueries(200, 50)
+	for _, spec := range []BatchSpec{
+		{Mode: BatchApprox, K: 4}, {Mode: BatchExact, K: 4},
+		{Mode: BatchChecks, K: 4, Checks: 500}, {Mode: BatchRadius, Radius: 1},
+	} {
+		for _, workers := range []int{1, 3} {
+			var polls atomic.Int64
+			stop := func() bool { return polls.Add(1) > 5 }
+			results := make([][]nn.Neighbor, len(queries))
+			stats, _, stopped := tree.SearchBatch(queries, spec, workers, results, stop)
+			if !stopped {
+				t.Fatalf("mode %d workers %d: batch ran to completion past its stop", spec.Mode, workers)
+			}
+			if stats.BucketsVisited >= len(queries) {
+				t.Fatalf("mode %d workers %d: %d buckets visited after stopping", spec.Mode, workers, stats.BucketsVisited)
+			}
 		}
 	}
 }

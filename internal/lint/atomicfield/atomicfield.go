@@ -4,8 +4,8 @@
 // even on 32-bit layouts. A single plain load next to atomic stores is a
 // data race the race detector only catches when the interleaving
 // happens to fire; alignment violations panic at runtime on 386/ARM.
-// The serving layer's refcounts and work-stealing deques (internal/serve)
-// are exactly this shape — they use the typed atomic.Int64/Uint64
+// The serving layer's epoch refcounts and the k-d tree batch runner's
+// claim counter (internal/serve, internal/kdtree) are exactly this shape — they use the typed atomic.Int64/Uint64
 // wrappers, which this rule does not flag, and the rule keeps raw
 // sync/atomic usage from regressing below that bar.
 //

@@ -5,7 +5,7 @@
 // the cancellation contract from callers, and a struct-held context
 // outlives the call it was scoped to, silently detaching deadlines from
 // the work they were meant to bound. The serving layer's public API
-// (Index.Query, Engine.QueryBatch, Pipeline.ProcessCtx) is context-first
+// (Index.Query, Engine.Do, Pipeline.ProcessCtx) is context-first
 // by design; this rule keeps every new signature in the module aligned
 // with it.
 //

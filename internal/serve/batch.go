@@ -2,9 +2,6 @@ package serve
 
 import (
 	"context"
-	"math"
-	"sync"
-	"sync/atomic"
 
 	"github.com/quicknn/quicknn"
 	"github.com/quicknn/quicknn/internal/faults"
@@ -17,57 +14,51 @@ import (
 // but never splits one, so all of a request's queries are answered by
 // the same snapshot (per-request epoch consistency).
 type request struct {
-	//lint:ignore ctxfirst a request carries its submitter's context through the queue so batch workers honor the caller's deadline, in the manner of net/http.Request
+	//lint:ignore ctxfirst a request carries its submitter's context through the queue so the batch goroutine honors the caller's deadline, in the manner of net/http.Request
 	ctx     context.Context
 	queries []quicknn.Point
 	opts    quicknn.QueryOptions
 
-	// results is filled by batch workers, one slot per query.
+	// results holds one result region per query. In the k-bounded modes
+	// the regions are capacity-capped stride-K views of one flat backing
+	// array of len(queries)*K records; ModeRadius (unbounded result
+	// counts) leaves them nil to grow per query.
 	results [][]quicknn.Neighbor
-	// backing is the flat result arena of the k-bounded modes: one
-	// allocation of len(queries)*K neighbor records, with results[qi] a
-	// capacity-capped view of its stride-K region. ModeRadius (unbounded
-	// result counts) leaves it nil and takes per-query slices.
-	backing []quicknn.Neighbor
 	// epochID records which snapshot answered the request.
 	epochID uint64
 
-	// pending counts unfinished queries; the last decrement closes done.
-	pending atomic.Int64
-	// failed flags the request so remaining workers skip its queries.
-	failed atomic.Bool
-	// err holds the first failure (type error).
-	err atomic.Value
-	// done is closed when every query finished or was skipped.
+	// err is the request's verdict (nil on success), written by the
+	// batch goroutine before done closes.
+	err error
+	// done is closed when the request has been answered or failed.
 	done chan struct{}
 	// submitted is the obs.MonotonicSeconds submission timestamp.
 	submitted float64
 
 	// Flight-recorder state. id is the engine-scoped request id stamped
 	// into flight records and exemplars. pickedUp (batcher receive) and
-	// dispatched (batch handoff) are plain fields written by the single
-	// batcher goroutine before the batch goroutine is spawned, so the
-	// worker that assembles the record observes them through the
-	// goroutine-creation happens-before edge. batchPoints is the size of
-	// the coalesced batch the request rode in.
+	// dispatched (batch handoff) are written by the single batcher
+	// goroutine before the batch goroutine is spawned, so the batch
+	// goroutine observes them through the goroutine-creation
+	// happens-before edge. batchPoints is the size of the coalesced batch
+	// the request rode in.
 	id          uint64
 	pickedUp    float64
 	dispatched  float64
 	batchPoints int32
 	// degradeLevel is the ladder level admission stamped on the request
-	// (written before submit, read by the completing worker through the
+	// (written before submit, read by the batch goroutine through the
 	// same happens-before edges as pickedUp/dispatched).
 	degradeLevel uint8
 	// traceHi/traceLo carry the caller's W3C trace id (zero when none),
-	// written before submit and read by the completing worker through
-	// the same happens-before edges as degradeLevel.
+	// written before submit and read like degradeLevel.
 	traceHi uint64
 	traceLo uint64
-	// execStart holds math.Float64bits of the first worker's execution
-	// start (first-wins CAS); 0 until a worker reaches the request.
-	execStart atomic.Uint64
-	// Work counters accumulated across workers when recording is on.
-	trav, buckets, scanned, inserts atomic.Uint64
+	// execStart is the obs.MonotonicSeconds stamp at which the request's
+	// search began (0 when it never ran), and work the summed work of its
+	// queries; both are written by the batch goroutine before finish.
+	execStart float64
+	work      quicknn.QueryStats
 }
 
 func newRequest(ctx context.Context, queries []quicknn.Point, opts quicknn.QueryOptions) *request {
@@ -79,66 +70,26 @@ func newRequest(ctx context.Context, queries []quicknn.Point, opts quicknn.Query
 		done:      make(chan struct{}),
 		submitted: obs.MonotonicSeconds(),
 	}
-	if opts.Mode != quicknn.ModeRadius && opts.K > 0 {
-		r.backing = make([]quicknn.Neighbor, len(queries)*opts.K)
+	if k := opts.K; opts.Mode != quicknn.ModeRadius && k > 0 {
+		backing := make([]quicknn.Neighbor, len(queries)*k)
+		for qi := range r.results {
+			r.results[qi] = backing[qi*k : qi*k : (qi+1)*k]
+		}
 	}
-	r.pending.Store(int64(len(queries)))
 	return r
 }
 
-// region returns query qi's slot in the flat result backing: a
-// zero-length, capacity-K view that QueryInto appends into without ever
-// reallocating (each k-bounded mode returns at most K neighbors) and
-// without aliasing a sibling query's span. nil when the request has no
-// backing (ModeRadius, or options that will fail validation anyway).
-func (r *request) region(qi int) []quicknn.Neighbor {
-	if r.backing == nil {
-		return nil
-	}
-	k := r.opts.K
-	return r.backing[qi*k : qi*k : (qi+1)*k]
-}
-
-// fail records the request's first error and flags it for skipping.
-func (r *request) fail(err error) {
-	if r.failed.CompareAndSwap(false, true) {
-		r.err.Store(err)
-	}
-}
-
-// failure returns the recorded error, nil when none.
-func (r *request) failure() error {
-	if err, ok := r.err.Load().(error); ok {
-		return err
-	}
-	return nil
-}
-
-// markExecStart stamps the request's execution start the first time any
-// worker reaches one of its queries. The common case (already stamped)
-// is one atomic load; only the first worker pays a clock read.
-//
-//quicknnlint:recordpath
-func (r *request) markExecStart() {
-	if r.execStart.Load() != 0 {
-		return
-	}
-	r.execStart.CompareAndSwap(0, math.Float64bits(obs.MonotonicSeconds()))
-}
-
-// finishOne marks one query finished; the last one completes the
-// request: flight record, latency exemplar, outcome counter, done.
-func (r *request) finishOne(e *Engine) {
-	if r.pending.Add(-1) != 0 {
-		return
-	}
+// finish completes the request with its verdict: flight record, latency
+// exemplar, outcome counter, done. Called exactly once per request.
+func (e *Engine) finish(r *request, err error) {
+	r.err = err
 	now := obs.MonotonicSeconds()
 	total := now - r.submitted
 	if e.rec {
 		e.recordFlight(r, now, total)
 	}
 	e.m.latency.ObserveWithExemplar(total, r.id, r.traceLo)
-	if r.failure() != nil {
+	if err != nil {
 		e.m.requests.With("error").Inc()
 	} else {
 		e.m.requests.With("ok").Inc()
@@ -147,109 +98,47 @@ func (r *request) finishOne(e *Engine) {
 	close(r.done)
 }
 
-// workItem addresses one query of one request inside a batch.
-type workItem struct {
-	req *request
-	qi  int
+// runBatch answers a dispatched batch against its pinned epoch. It takes
+// one token of the engine's global worker budget (blocking) and up to
+// min(Workers, points) in total without blocking, then runs each request
+// as one leaf-grouped Index.QueryBatchInto call across that many
+// goroutines. Requests are not merged: each keeps its own options, its
+// own context as the call's stop, and its own summed work counters.
+func (e *Engine) runBatch(ep *epoch, batch []*request, points int) {
+	e.sem <- struct{}{}
+	workers := 1
+take:
+	for workers < e.cfg.Workers && workers < points {
+		select {
+		case e.sem <- struct{}{}:
+			workers++
+		default:
+			break take
+		}
+	}
+	for _, req := range batch {
+		e.runRequest(ep, req, workers)
+	}
+	for ; workers > 0; workers-- {
+		<-e.sem
+	}
 }
 
-// runBatch executes one coalesced batch against a pinned epoch: the
-// flattened query list is partitioned into per-worker steal ranges and
-// processed by up to `workers` goroutines (bounded globally by the
-// engine's worker budget). An idle worker steals the back half of the
-// fullest-looking victim it finds, so stragglers rebalance instead of
-// stalling the batch the way static contiguous chunks would.
-func (e *Engine) runBatch(ep *epoch, items []workItem, workers int) {
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	ranges := splitRanges(len(items), workers)
-	var wg sync.WaitGroup
-	wg.Add(len(items))
-	var workersDone sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		workersDone.Add(1)
-		go func(me int) {
-			defer workersDone.Done()
-			e.sem <- struct{}{}
-			defer func() { <-e.sem }()
-			// One Scratch per worker for the worker's lifetime: every
-			// query this goroutine answers reuses the same traversal
-			// stack, heap, and candidate list (docs/performance.md).
-			sc := getServeScratch()
-			defer putServeScratch(sc)
-			for {
-				if idx, ok := ranges[me].popFront(); ok {
-					e.runItem(ep, items[idx], sc)
-					wg.Done()
-					continue
-				}
-				// Own range drained: steal the back half of the first
-				// non-empty victim, preferring the fullest.
-				best, bestLen := -1, uint32(0)
-				for off := 1; off < workers; off++ {
-					v := (me + off) % workers
-					if n := ranges[v].len(); n > bestLen {
-						best, bestLen = v, n
-					}
-				}
-				if best < 0 {
-					return // nothing left anywhere
-				}
-				if lo, hi, ok := ranges[best].stealBack(); ok {
-					ranges[me].install(lo, hi)
-					e.m.steals.Inc()
-				}
-				// On a failed steal (victim drained meanwhile) rescan;
-				// the next scan either finds work or exits.
-			}
-		}(w)
-	}
-	wg.Wait()
-	workersDone.Wait()
-}
-
-// runItem answers one query of one request against the batch's epoch,
-// honoring the request's deadline between queries. Results land in the
-// request's flat backing via QueryInto with the worker's Scratch, so a
-// warm steady state performs no per-query allocations.
-func (e *Engine) runItem(ep *epoch, it workItem, sc *quicknn.Scratch) {
-	req := it.req
-	defer req.finishOne(e)
+// runRequest answers one request on the batch's epoch. Results land in
+// the request's own result regions, so a warm steady state performs no
+// per-query allocations.
+func (e *Engine) runRequest(ep *epoch, req *request, workers int) {
 	e.flt.Inject(faults.WorkerStall)
 	ep.san.checkLive(ep, "query")
-	if req.failed.Load() {
-		return // sibling query already failed; skip the rest cheaply
-	}
-	if err := req.ctx.Err(); err != nil {
-		req.fail(err)
-		return
-	}
 	if e.rec {
-		req.markExecStart()
+		req.execStart = obs.MonotonicSeconds()
 	}
-	res, err := ep.index.QueryInto(req.ctx, req.queries[it.qi], req.opts, sc, req.region(it.qi))
-	if err != nil {
-		req.fail(err)
-		return
+	opts := req.opts
+	opts.Workers = workers
+	work, err := ep.index.QueryBatchInto(req.ctx, req.queries, opts, req.results)
+	req.work = work
+	if err == nil {
+		e.m.queries.Add(int64(len(req.queries)))
 	}
-	req.results[it.qi] = res
-	if e.rec {
-		st := sc.LastStats()
-		req.trav.Add(uint64(st.TraversalSteps))
-		req.buckets.Add(uint64(st.BucketsVisited))
-		req.scanned.Add(uint64(st.PointsScanned))
-		req.inserts.Add(uint64(st.CandInserts))
-	}
-	e.m.queries.Inc()
+	e.finish(req, err)
 }
-
-// serveScratchPool hands each batch-worker goroutine a warm Scratch for
-// its lifetime; capacities survive across batches and epochs.
-var serveScratchPool = sync.Pool{New: func() interface{} { return quicknn.NewScratch() }}
-
-func getServeScratch() *quicknn.Scratch  { return serveScratchPool.Get().(*quicknn.Scratch) }
-func putServeScratch(s *quicknn.Scratch) { serveScratchPool.Put(s) }

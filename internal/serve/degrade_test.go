@@ -142,7 +142,7 @@ func TestDegradeLevelPollRecovers(t *testing.T) {
 
 // TestQueryBatchExStampsResultAndFlight drives a real engine into
 // degradation via the tail-budget signal and checks the public contract:
-// QueryBatchEx reports the level and actions, the answer's flight record
+// Do reports the level and actions, the answer's flight record
 // carries the stamped degrade level, and tolerant queries keep getting
 // answers the whole way — tail-only pressure plateaus at the clamp-k
 // rung (shed requires genuine queue backlog), so nothing is refused.
@@ -165,13 +165,13 @@ func TestQueryBatchExStampsResultAndFlight(t *testing.T) {
 	// First request seeds the tail estimate (no pressure yet: estimate
 	// is zero when admission runs), then every later request observes an
 	// over-budget tail and climbs one rung per admission.
-	if _, err := e.QueryBatch(context.Background(), taggedFrame(1, 2, rng), quicknn.QueryOptions{K: 2}); err != nil {
+	if _, err := e.Do(context.Background(), Submission{Queries: taggedFrame(1, 2, rng), Opts: quicknn.QueryOptions{K: 2}}); err != nil {
 		t.Fatalf("seed request: %v", err)
 	}
 	var sawForce bool
 	for i := 0; i < 3; i++ {
-		res, err := e.QueryBatchEx(context.Background(), taggedFrame(1, 1, rng),
-			quicknn.QueryOptions{K: 16, Mode: quicknn.ModeExact}, false)
+		res, err := e.Do(context.Background(), Submission{Queries: taggedFrame(1, 1, rng),
+			Opts: quicknn.QueryOptions{K: 16, Mode: quicknn.ModeExact}})
 		if err != nil {
 			t.Fatalf("degraded request %d: %v", i, err)
 		}
@@ -191,7 +191,7 @@ func TestQueryBatchExStampsResultAndFlight(t *testing.T) {
 	// The fourth admission holds at clamp-k: with no queue backlog the
 	// tail signal alone never unlocks the shed rung, so tolerant callers
 	// keep getting (cheap) answers.
-	res, err := e.QueryBatchEx(context.Background(), taggedFrame(1, 1, rng), quicknn.QueryOptions{K: 2}, false)
+	res, err := e.Do(context.Background(), Submission{Queries: taggedFrame(1, 1, rng), Opts: quicknn.QueryOptions{K: 2}})
 	if err != nil {
 		t.Fatalf("tail-only plateau request: %v", err)
 	}

@@ -19,12 +19,12 @@
 //   - Micro-batched query execution. Requests enter a bounded submission
 //     queue (a full queue sheds with the typed ErrOverloaded instead of
 //     queueing unboundedly); a batcher coalesces them under an adaptive
-//     batch window sized from the observed arrival rate; and each batch
-//     fans out over a worker pool that claims queries by work-stealing
-//     (per-worker ranges with half-stealing) rather than the static
-//     contiguous chunks of Index.SearchAllParallel, so one slow shard
-//     cannot stall the batch. Per-request deadlines are honored between
-//     queries and between bucket visits, and Close drains gracefully.
+//     batch window sized from the observed arrival rate; and each
+//     request of a batch runs as one Index.QueryBatchInto call — the
+//     k-d tree's leaf-grouped batch executor — on as many goroutines as
+//     the engine's global worker budget grants. Per-request deadlines
+//     are honored between leaf groups and between bucket visits, and
+//     Close drains gracefully.
 //
 // This mirrors how the related FPGA serving work gets its throughput
 // (Dazzi et al. batch queries per device pass; Pinkham et al. pipeline

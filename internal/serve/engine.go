@@ -223,8 +223,7 @@ type Engine struct {
 	// submission channel drains the moment the batcher looks at it and
 	// its length stays near zero even when slow workers have unbounded
 	// work parked behind the semaphore. Incremented before enqueue
-	// (compensated on a refused submit), decremented by the completing
-	// finishOne.
+	// (compensated on a refused submit), decremented by finish.
 	inflight atomic.Int64
 }
 
@@ -472,29 +471,6 @@ func (e *Engine) acquireCurrent() *epoch {
 
 // --------------------------------------------------------------- queries
 
-// Query answers a single query point; it is QueryBatch for one point.
-func (e *Engine) Query(ctx context.Context, q quicknn.Point, opts quicknn.QueryOptions) ([]quicknn.Neighbor, error) {
-	res, err := e.QueryBatch(ctx, []quicknn.Point{q}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
-// QueryBatch submits the queries as one request to the micro-batching
-// engine and waits for the answer. All queries are answered against one
-// epoch snapshot. Failure modes: ErrOverloaded (queue full at submit),
-// ErrShed (degrade ladder at its top rung), ErrClosed (engine draining),
-// ErrNoIndex (no frame yet), or the ctx error when the deadline expires
-// first — in-flight work for an expired request is skipped, not
-// executed. Under pressure the answer may be degraded (clamped budgets,
-// exact forced to bounded backtracking); use QueryBatchEx to see what
-// the ladder did, or to refuse degraded answers outright.
-func (e *Engine) QueryBatch(ctx context.Context, queries []quicknn.Point, opts quicknn.QueryOptions) ([][]quicknn.Neighbor, error) {
-	res, err := e.QueryBatchEx(ctx, queries, opts, false)
-	return res.Results, err
-}
-
 // QueryResult is Do's answer: the per-query neighbor lists plus the
 // serving metadata the /v1 wire API surfaces — which epoch snapshot
 // answered, what the degrade ladder did to the request, and the
@@ -534,20 +510,15 @@ type Submission struct {
 	Trace obs.TraceID
 }
 
-// QueryBatchEx is QueryBatch plus the degrade contract; it is
-// Do without a correlation id, kept for callers below the wire layer.
-func (e *Engine) QueryBatchEx(ctx context.Context, queries []quicknn.Point, opts quicknn.QueryOptions, strict bool) (QueryResult, error) {
-	return e.Do(ctx, Submission{Queries: queries, Opts: opts, Strict: strict})
-}
-
 // Do submits one request to the micro-batching engine and waits for the
 // answer. Admission runs the adaptive degrade controller, rewrites the
 // request's options for the current ladder level, and reports what it
 // did. Failure modes: ErrOverloaded (queue full at submit), ErrShed
 // (degrade ladder at its top rung), ErrDegraded (strict request meeting
 // an engaged ladder), ErrClosed (engine draining), ErrNoIndex (no frame
-// yet), or the ctx error when the deadline expires first — in-flight
-// work for an expired request is skipped, not executed.
+// yet), or the ctx error when the deadline expires first — the search
+// of an expired request is abandoned at its next leaf group or bucket.
+// All of a request's queries are answered against one epoch snapshot.
 func (e *Engine) Do(ctx context.Context, sub Submission) (QueryResult, error) {
 	if len(sub.Queries) == 0 {
 		return QueryResult{Results: [][]quicknn.Neighbor{}, Epoch: e.Epoch()}, nil
@@ -572,14 +543,14 @@ func (e *Engine) Do(ctx context.Context, sub Submission) (QueryResult, error) {
 	}
 	select {
 	case <-req.done:
-		if err := req.failure(); err != nil {
-			return QueryResult{}, err
+		if req.err != nil {
+			return QueryResult{}, req.err
 		}
 		return QueryResult{Results: req.results, Epoch: req.epochID, Level: level, Actions: acts, ID: req.id}, nil
 	case <-ctx.Done():
-		// The request keeps draining in the background (workers skip its
-		// remaining queries); the caller gets the deadline verdict now.
-		req.fail(ctx.Err())
+		// The request's search polls the same ctx and abandons its batch
+		// call at the next leaf group or bucket; the caller gets the
+		// deadline verdict now.
 		return QueryResult{}, ctx.Err()
 	}
 }
@@ -629,7 +600,7 @@ const tailRecentWindow = 1.0
 
 // signals samples the engine's live pressure inputs for the controller.
 // The window signal is the adaptive window's floor saturation — arrivals
-// fast enough that windowFor pinned the window at MinWindow — gated on a
+// fast enough that half a batch arrives within MinWindow — gated on a
 // backlog of at least one full batch: a floored window with an empty
 // queue is a responsive idle engine, while a floored window behind a
 // batch-deep backlog means the batcher is coalescing flat out and still
@@ -649,8 +620,9 @@ func (e *Engine) signals(now float64) degrade.Signals {
 	depth := e.backlog()
 	var wf float64
 	if span := (e.cfg.MaxWindow - e.cfg.MinWindow).Seconds(); span > 0 && depth >= e.cfg.MaxBatch {
-		w := math.Float64frombits(e.curWindow.Load())
-		wf = (e.cfg.MaxWindow.Seconds() - w) / span
+		// Read the arrival rate, not the window: windowFor also falls
+		// back to MinWindow when arrivals are too slow to batch.
+		wf = (e.cfg.MaxWindow.Seconds() - e.halfBatchWait()) / span
 		if wf < 0 {
 			wf = 0
 		}
@@ -798,23 +770,24 @@ func (e *Engine) noteArrival(now float64) {
 	}
 }
 
-// windowFor derives the batch window from the arrival-rate estimate: the
-// time to fill roughly half a batch at the observed rate, clamped to
-// [MinWindow, MaxWindow]. Idle services converge to MinWindow (no
-// pointless waiting); hot services grow the window toward MaxWindow only
-// as far as batching actually pays.
-func (e *Engine) windowFor() time.Duration {
+// halfBatchWait returns the seconds half a batch takes to arrive at the
+// observed arrival rate (0 before the rate estimate is seeded).
+func (e *Engine) halfBatchWait() float64 {
 	ewma := math.Float64frombits(e.ewmaArrival.Load())
-	if ewma <= 0 {
-		e.m.window.Set(e.cfg.MinWindow.Seconds())
-		return e.cfg.MinWindow
-	}
-	w := time.Duration(ewma * float64(e.cfg.MaxBatch) / 2 * float64(time.Second))
-	if w < e.cfg.MinWindow {
+	return ewma * float64(e.cfg.MaxBatch) / 2
+}
+
+// windowFor derives the batch window from the arrival-rate estimate: the
+// time to fill roughly half a batch at the observed rate, floored at
+// MinWindow. Hot services grow the window toward MaxWindow only as far as
+// batching actually pays; when half a batch cannot arrive within
+// MaxWindow (an idle service, or a lone closed-loop caller whose next
+// request waits on this one's answer), waiting gains nothing and the
+// window falls back to MinWindow.
+func (e *Engine) windowFor() time.Duration {
+	w := time.Duration(e.halfBatchWait() * float64(time.Second))
+	if w < e.cfg.MinWindow || w > e.cfg.MaxWindow {
 		w = e.cfg.MinWindow
-	}
-	if w > e.cfg.MaxWindow {
-		w = e.cfg.MaxWindow
 	}
 	e.curWindow.Store(math.Float64bits(w.Seconds()))
 	e.m.window.Set(w.Seconds())
@@ -873,8 +846,8 @@ func (e *Engine) nextRequest() (*request, bool) {
 	}
 }
 
-// dispatch pins the current epoch and hands the batch to the stealing
-// worker pool asynchronously, so the batcher can keep coalescing.
+// dispatch pins the current epoch and hands the batch to a batch
+// goroutine asynchronously, so the batcher can keep coalescing.
 func (e *Engine) dispatch(batch []*request, points int) {
 	e.m.batches.Inc()
 	e.m.batchSize.ObserveWithExemplar(float64(points), batch[0].id, batch[0].traceLo)
@@ -888,25 +861,18 @@ func (e *Engine) dispatch(batch []*request, points int) {
 		// No index (first frame raced a query past the submit check):
 		// answer everything with ErrNoIndex.
 		for _, req := range batch {
-			req.fail(ErrNoIndex)
-			for range req.queries {
-				req.finishOne(e)
-			}
+			e.finish(req, ErrNoIndex)
 		}
 		return
 	}
-	items := make([]workItem, 0, points)
 	for _, req := range batch {
 		req.epochID = ep.id
-		for qi := range req.queries {
-			items = append(items, workItem{req: req, qi: qi})
-		}
 	}
 	e.batches.Add(1)
 	go func() {
 		defer e.batches.Done()
 		defer ep.release(e.retire)
-		e.runBatch(ep, items, e.cfg.Workers)
+		e.runBatch(ep, batch, points)
 	}()
 }
 

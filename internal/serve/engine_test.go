@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"github.com/quicknn/quicknn"
+	"github.com/quicknn/quicknn/internal/degrade"
 	"github.com/quicknn/quicknn/internal/obs"
 )
 
@@ -76,7 +78,7 @@ func TestConcurrentQueriesAcrossFrameSwaps(t *testing.T) {
 				for i := range queries {
 					queries[i] = quicknn.Point{X: qrng.Float32() * 100, Y: qrng.Float32() * 100}
 				}
-				res, err := e.QueryBatch(context.Background(), queries, quicknn.QueryOptions{K: 4})
+				res, err := e.Do(context.Background(), Submission{Queries: queries, Opts: quicknn.QueryOptions{K: 4}})
 				if err != nil {
 					errs <- err
 					return
@@ -84,7 +86,7 @@ func TestConcurrentQueriesAcrossFrameSwaps(t *testing.T) {
 				// Per-request epoch consistency: every neighbor of every
 				// query in this request must carry the same frame tag.
 				tag := float32(-1)
-				for _, nbrs := range res {
+				for _, nbrs := range res.Results {
 					if len(nbrs) == 0 {
 						errs <- errors.New("empty neighbor list from a populated index")
 						return
@@ -186,9 +188,9 @@ func TestDeadlineSurfacesTyped(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := e.QueryBatch(ctx, []quicknn.Point{{X: 1, Y: 1}}, quicknn.QueryOptions{K: 2})
+	_, err := e.Do(ctx, Submission{Queries: []quicknn.Point{{X: 1, Y: 1}}, Opts: quicknn.QueryOptions{K: 2}})
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("QueryBatch under expired deadline = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("Do under expired deadline = %v, want context.DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("deadline verdict took %v, should return at the deadline, not the window", elapsed)
@@ -199,9 +201,9 @@ func TestDeadlineSurfacesTyped(t *testing.T) {
 func TestQueryBeforeFirstFrame(t *testing.T) {
 	e := NewEngine(Config{})
 	defer e.Close(context.Background())
-	_, err := e.Query(context.Background(), quicknn.Point{}, quicknn.QueryOptions{K: 1})
+	_, err := e.Do(context.Background(), Submission{Queries: []quicknn.Point{{}}, Opts: quicknn.QueryOptions{K: 1}})
 	if !errors.Is(err, ErrNoIndex) {
-		t.Fatalf("Query before Advance = %v, want ErrNoIndex", err)
+		t.Fatalf("Do before Advance = %v, want ErrNoIndex", err)
 	}
 	if e.Epoch() != 0 {
 		t.Fatalf("Epoch before Advance = %d, want 0", e.Epoch())
@@ -223,39 +225,214 @@ func TestClosedEngineRejectsTyped(t *testing.T) {
 	if err := e.Close(context.Background()); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, err := e.Query(context.Background(), quicknn.Point{}, quicknn.QueryOptions{K: 1}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Query after Close = %v, want ErrClosed", err)
+	if _, err := e.Do(context.Background(), Submission{Queries: []quicknn.Point{{}}, Opts: quicknn.QueryOptions{K: 1}}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Do after Close = %v, want ErrClosed", err)
 	}
 	if _, err := e.Advance(context.Background(), taggedFrame(2, 10, rng)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Advance after Close = %v, want ErrClosed", err)
 	}
 }
 
-// TestQueryMatchesDirectSearch checks the batched path returns exactly
-// what a direct search against the same snapshot returns.
-func TestQueryMatchesDirectSearch(t *testing.T) {
-	e := NewEngine(Config{Maintenance: MaintIncremental})
-	defer e.Close(context.Background())
-	rng := rand.New(rand.NewSource(11))
-	mustAdvance(t, e, 1, 800, rng)
-	mustAdvance(t, e, 2, 800, rng) // exercise the incremental snapshot path
+// cancelAfter is a context whose Err turns to context.Canceled from its
+// n-th poll on, so a request can be cancelled deterministically in the
+// middle of its batch call. Done never closes: the verdict reaches the
+// caller through the request, not through Do's select.
+type cancelAfter struct {
+	n     int64
+	polls atomic.Int64
+	done  chan struct{}
+}
 
-	queries := taggedFrame(0, 32, rand.New(rand.NewSource(12)))
-	got, err := e.QueryBatch(context.Background(), queries, quicknn.QueryOptions{K: 3})
-	if err != nil {
-		t.Fatalf("QueryBatch: %v", err)
+func newCancelAfter(n int64) *cancelAfter {
+	return &cancelAfter{n: n, done: make(chan struct{})}
+}
+
+func (c *cancelAfter) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (c *cancelAfter) Value(any) any               { return nil }
+func (c *cancelAfter) Done() <-chan struct{}       { return c.done }
+
+func (c *cancelAfter) Err() error {
+	if c.polls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// flightRecord returns the engine's flight record for request id.
+func flightRecord(t *testing.T, e *Engine, id uint64) obs.FlightRecord {
+	t.Helper()
+	for _, rec := range e.FlightRecords() {
+		if rec.ID == id {
+			return rec
+		}
+	}
+	t.Fatalf("no flight record for request %d", id)
+	return obs.FlightRecord{}
+}
+
+// matchDirect checks one answered request against per-query
+// Index.QueryInto on the epoch that answered it, under the options the
+// degrade ladder left it with: the neighbors must be byte-equal and the
+// flight record's four work counters the sums of the per-query stats.
+func matchDirect(t *testing.T, e *Engine, queries []quicknn.Point, opts quicknn.QueryOptions, res QueryResult) {
+	t.Helper()
+	if res.Epoch != e.Epoch() {
+		t.Fatalf("answered by epoch %d, current is %d", res.Epoch, e.Epoch())
+	}
+	if e.deg != nil {
+		opts, _ = e.deg.Config().Apply(opts, res.Level)
 	}
 	ix := e.Index()
+	sc := quicknn.NewScratch()
+	var sum quicknn.QueryStats
 	for qi, q := range queries {
-		want := ix.Search(q, 3)
-		if len(got[qi]) != len(want) {
-			t.Fatalf("query %d: %d neighbors, want %d", qi, len(got[qi]), len(want))
+		want, err := ix.QueryInto(context.Background(), q, opts, sc, nil)
+		if err != nil {
+			t.Fatalf("QueryInto: %v", err)
+		}
+		st := sc.LastStats()
+		sum.TraversalSteps += st.TraversalSteps
+		sum.PointsScanned += st.PointsScanned
+		sum.BucketsVisited += st.BucketsVisited
+		sum.CandInserts += st.CandInserts
+		got := res.Results[qi]
+		if len(got) != len(want) {
+			t.Fatalf("query %d: %d neighbors, want %d", qi, len(got), len(want))
 		}
 		for i := range want {
-			if got[qi][i] != want[i] {
-				t.Fatalf("query %d neighbor %d: got %+v, want %+v", qi, i, got[qi][i], want[i])
+			if got[i] != want[i] {
+				t.Fatalf("query %d neighbor %d: got %+v, want %+v", qi, i, got[i], want[i])
 			}
 		}
+	}
+	rec := flightRecord(t, e, res.ID)
+	if rec.TraversalSteps != uint32(sum.TraversalSteps) || rec.PointsScanned != uint32(sum.PointsScanned) ||
+		rec.BucketsVisited != uint32(sum.BucketsVisited) || rec.CandInserts != uint32(sum.CandInserts) {
+		t.Fatalf("flight record work %+v, want per-query sums %+v", rec, sum)
+	}
+}
+
+// TestQueryMatchesDirectSearch checks that the engine, which runs each
+// request as one leaf-grouped batch call, answers exactly what per-query
+// Index.QueryInto answers on the same epoch: in every mode, and for
+// requests the degrade ladder rewrote. The flight record's work counters
+// must equal the per-query sums. A last leg cancels one request in the
+// middle of its batch call while others run on the same epoch: it alone
+// fails.
+func TestQueryMatchesDirectSearch(t *testing.T) {
+	newMatchEngine := func(dcfg degrade.Config) *Engine {
+		sink := obs.NewSink("match-test")
+		sink.Flight = obs.NewFlightRecorder(256)
+		e := NewEngine(Config{Maintenance: MaintIncremental, Workers: 4, Obs: sink, Degrade: dcfg})
+		t.Cleanup(func() { e.Close(context.Background()) })
+		rng := rand.New(rand.NewSource(11))
+		mustAdvance(t, e, 1, 800, rng)
+		mustAdvance(t, e, 2, 800, rng) // exercise the incremental snapshot path
+		return e
+	}
+	plain := newMatchEngine(degrade.Config{Disabled: true})
+	// Every request observes an over-budget tail and climbs one rung; the
+	// tail signal alone plateaus at clamp-k.
+	ladder := newMatchEngine(degrade.Config{TailBudget: 1e-12, StepUp: 1e-9, StepDown: 1e9})
+	// 200 queries span several 16-query worker runs, so the batch call
+	// fans out over the engine's four workers.
+	queries := taggedFrame(0, 200, rand.New(rand.NewSource(12)))
+	exact := quicknn.QueryOptions{K: 16, Mode: quicknn.ModeExact}
+
+	for _, tc := range []struct {
+		name string
+		e    *Engine
+		opts quicknn.QueryOptions
+		acts degrade.Actions // rewrites the answered request must carry
+	}{
+		{"approx", plain, quicknn.QueryOptions{K: 3}, 0},
+		{"exact", plain, quicknn.QueryOptions{K: 5, Mode: quicknn.ModeExact}, 0},
+		{"checks", plain, quicknn.QueryOptions{K: 4, Mode: quicknn.ModeChecks, Checks: 300}, 0},
+		{"radius", plain, quicknn.QueryOptions{Mode: quicknn.ModeRadius, Radius: 6}, 0},
+		{"force-checks", ladder, exact, degrade.ActForceChecks},
+		{"clamp-k", ladder, exact, degrade.ActForceChecks | degrade.ActClampK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Climb the ladder until the request carries the wanted
+			// rewrites, checking every answer on the way.
+			for attempt := 0; ; attempt++ {
+				res, err := tc.e.Do(context.Background(), Submission{Queries: queries, Opts: tc.opts})
+				if err != nil {
+					t.Fatalf("Do: %v", err)
+				}
+				matchDirect(t, tc.e, queries, tc.opts, res)
+				if res.Actions == tc.acts {
+					break
+				}
+				if attempt == 5 {
+					t.Fatalf("ladder never applied actions %b (last %b at %v)", tc.acts, res.Actions, res.Level)
+				}
+			}
+		})
+	}
+
+	t.Run("cancel-mid-batch", func(t *testing.T) {
+		e := plain
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				opts := quicknn.QueryOptions{K: 4, Mode: quicknn.QueryMode(w % 2)} // approx and exact
+				for i := 0; i < 5; i++ {
+					res, err := e.Do(context.Background(), Submission{Queries: queries, Opts: opts})
+					if err != nil {
+						t.Errorf("concurrent request: %v", err)
+						return
+					}
+					matchDirect(t, e, queries, opts, res)
+				}
+			}(w)
+		}
+		// Do polls once and the batch call once on entry; the tenth poll
+		// falls inside the exact searches' per-group and per-bucket polls.
+		ctx := newCancelAfter(10)
+		_, err := e.Do(ctx, Submission{Queries: queries, Opts: exact})
+		wg.Wait()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled request = %v, want context.Canceled", err)
+		}
+		var rec obs.FlightRecord
+		for _, r := range e.FlightRecords() {
+			if r.Outcome == obs.OutcomeCanceled {
+				rec = r
+			}
+		}
+		if rec.ID == 0 || rec.BucketsVisited == 0 {
+			t.Fatalf("cancelled request not recorded as abandoned mid-batch: %+v", rec)
+		}
+	})
+}
+
+// TestLoneCallerNotHeldForMaxWindow pins the adaptive window's idle
+// fallback: a closed-loop caller whose requests are far below MaxBatch
+// can never fill half a batch within MaxWindow, so its requests run
+// after MinWindow instead of waiting out MaxWindow every time.
+func TestLoneCallerNotHeldForMaxWindow(t *testing.T) {
+	const maxWindow = 100 * time.Millisecond
+	e := NewEngine(Config{MaxWindow: maxWindow, MaxBatch: 1 << 20})
+	defer e.Close(context.Background())
+	rng := rand.New(rand.NewSource(13))
+	mustAdvance(t, e, 1, 300, rng)
+
+	const requests = 10
+	start := time.Now()
+	for i := 0; i < requests; i++ {
+		if _, err := e.Do(context.Background(), Submission{Queries: taggedFrame(1, 8, rng), Opts: quicknn.QueryOptions{K: 2}}); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	// Held for MaxWindow, the loop would take at least 900ms.
+	if elapsed := time.Since(start); elapsed > requests*maxWindow/2 {
+		t.Fatalf("%d lone requests took %v: held for the %v MaxWindow", requests, elapsed, maxWindow)
+	}
+	if w := math.Float64frombits(e.curWindow.Load()); w != e.cfg.MinWindow.Seconds() {
+		t.Fatalf("window = %gs, want MinWindow %gs", w, e.cfg.MinWindow.Seconds())
 	}
 }
 
@@ -281,8 +458,8 @@ func TestCloseDrainsAcceptedWork(t *testing.T) {
 	}
 	got := make(chan answer, 1)
 	go func() {
-		res, err := e.QueryBatch(context.Background(), []quicknn.Point{{X: 2, Y: 3}}, quicknn.QueryOptions{K: 2})
-		got <- answer{res, err}
+		res, err := e.Do(context.Background(), Submission{Queries: []quicknn.Point{{X: 2, Y: 3}}, Opts: quicknn.QueryOptions{K: 2}})
+		got <- answer{res.Results, err}
 	}()
 	time.Sleep(5 * time.Millisecond) // let the request reach the queue/gather
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -46,8 +46,8 @@ func TestFrameCorruptSeamTruncatesDeterministically(t *testing.T) {
 }
 
 // TestWorkerStallSeamDelaysQueries checks the WorkerStall seam in
-// runItem: a firing stall rule blocks the query's worker for the
-// configured delay, visible as end-to-end latency.
+// runRequest: a firing stall rule blocks the request's batch goroutine
+// for the configured delay, visible as end-to-end latency.
 func TestWorkerStallSeamDelaysQueries(t *testing.T) {
 	plan := faults.New(3).Set(faults.WorkerStall, faults.Rule{Every: 1, Delay: 30 * time.Millisecond})
 	e := NewEngine(Config{Workers: 1, Faults: plan})
@@ -56,8 +56,8 @@ func TestWorkerStallSeamDelaysQueries(t *testing.T) {
 	mustAdvance(t, e, 1, 200, rng)
 
 	start := time.Now()
-	if _, err := e.Query(context.Background(), quicknn.Point{X: 1}, quicknn.QueryOptions{K: 1}); err != nil {
-		t.Fatalf("Query: %v", err)
+	if _, err := e.Do(context.Background(), Submission{Queries: []quicknn.Point{{X: 1}}, Opts: quicknn.QueryOptions{K: 1}}); err != nil {
+		t.Fatalf("Do: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
 		t.Fatalf("stalled query finished in %v, want >= 30ms", elapsed)

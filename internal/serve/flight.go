@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/quicknn/quicknn/internal/obs"
 )
@@ -13,7 +12,7 @@ import (
 // (docs/observability.md): every completed request is assembled into one
 // obs.FlightRecord — phase breakdown (queue wait → batch window → worker
 // pickup → execution), epoch generation, and the kdtree work counters
-// accumulated across the request's queries — and recorded into the
+// summed over the request's queries — and recorded into the
 // sink's ring. The adaptive tail sampler then decides whether the
 // request was slow enough to promote: promoted requests additionally
 // land in the engine-owned slowlog ring and, when a tracer is attached,
@@ -25,7 +24,7 @@ import (
 
 // recordFlight assembles and records the finished request's flight
 // record, then feeds the tail sampler. Called exactly once per request
-// (by the last finishOne) when recording is enabled. Allocation-free.
+// (by finish) when recording is enabled. Allocation-free.
 //
 //quicknnlint:recordpath
 func (e *Engine) recordFlight(r *request, now, total float64) {
@@ -41,18 +40,18 @@ func (e *Engine) recordFlight(r *request, now, total float64) {
 		Queue:          clampSec(r.pickedUp - r.submitted),
 		Window:         clampSec(r.dispatched - r.pickedUp),
 		Total:          total,
-		TraversalSteps: uint32(r.trav.Load()),
-		BucketsVisited: uint32(r.buckets.Load()),
-		PointsScanned:  uint32(r.scanned.Load()),
-		CandInserts:    uint32(r.inserts.Load()),
+		TraversalSteps: uint32(r.work.TraversalSteps),
+		BucketsVisited: uint32(r.work.BucketsVisited),
+		PointsScanned:  uint32(r.work.PointsScanned),
+		CandInserts:    uint32(r.work.CandInserts),
 		TraceHi:        r.traceHi,
 		TraceLo:        r.traceLo,
 	}
-	if exec := math.Float64frombits(r.execStart.Load()); exec > 0 {
-		rec.Pickup = clampSec(exec - r.dispatched)
-		rec.Exec = clampSec(now - exec)
+	if r.execStart > 0 {
+		rec.Pickup = clampSec(r.execStart - r.dispatched)
+		rec.Exec = clampSec(now - r.execStart)
 	}
-	switch err := r.failure(); {
+	switch err := r.err; {
 	case err == nil:
 		rec.Outcome = obs.OutcomeOK
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):

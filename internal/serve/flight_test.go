@@ -44,8 +44,8 @@ func TestFlightRecordsCaptureRequest(t *testing.T) {
 	mustAdvance(t, e, 1, 800, rng)
 
 	const nq, k = 5, 3
-	if _, err := e.QueryBatch(context.Background(), taggedFrame(1, nq, rng), quicknn.QueryOptions{K: k}); err != nil {
-		t.Fatalf("QueryBatch: %v", err)
+	if _, err := e.Do(context.Background(), Submission{Queries: taggedFrame(1, nq, rng), Opts: quicknn.QueryOptions{K: k}}); err != nil {
+		t.Fatalf("Do: %v", err)
 	}
 	recs := e.FlightRecords()
 	if len(recs) != 1 {
@@ -185,8 +185,8 @@ func TestFlightRecordsOutcomes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	mustAdvance(t, e, 1, 300, rng)
 
-	// Invalid options fail inside the batch workers: outcome error.
-	if _, err := e.QueryBatch(context.Background(), taggedFrame(1, 2, rng), quicknn.QueryOptions{K: 0}); err == nil {
+	// Invalid options fail inside the batch call: outcome error.
+	if _, err := e.Do(context.Background(), Submission{Queries: taggedFrame(1, 2, rng), Opts: quicknn.QueryOptions{K: 0}}); err == nil {
 		t.Fatal("K=0 must fail")
 	}
 	// A pre-canceled request entering the worker path: outcome canceled.
@@ -275,10 +275,10 @@ func TestFlightRecorderStormAcrossEpochSwaps(t *testing.T) {
 					return
 				default:
 				}
-				_, err := e.QueryBatch(context.Background(),
-					taggedFrame(1, 1+i%7, wrng), quicknn.QueryOptions{K: 4})
+				_, err := e.Do(context.Background(), Submission{
+					Queries: taggedFrame(1, 1+i%7, wrng), Opts: quicknn.QueryOptions{K: 4}})
 				if err != nil {
-					t.Errorf("worker %d: QueryBatch: %v", w, err)
+					t.Errorf("worker %d: Do: %v", w, err)
 					return
 				}
 			}
@@ -340,11 +340,8 @@ func TestRecordFlightZeroAlloc(t *testing.T) {
 	// common no-promotion branch (promotion is the sanctioned slow path).
 	e.tail.Observe(1e6)
 	if allocs := testing.AllocsPerRun(500, func() {
-		req.markExecStart()
-		req.trav.Add(uint64(st.TraversalSteps))
-		req.buckets.Add(uint64(st.BucketsVisited))
-		req.scanned.Add(uint64(st.PointsScanned))
-		req.inserts.Add(uint64(st.CandInserts))
+		req.execStart = obs.MonotonicSeconds()
+		req.work = st
 		now := obs.MonotonicSeconds()
 		e.recordFlight(req, now, now-req.submitted)
 		e.m.latency.ObserveWithExemplar(now-req.submitted, req.id, req.traceLo)
@@ -375,8 +372,8 @@ func TestNoRecordingWithoutObs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	mustAdvance(t, e, 1, 200, rng)
-	if _, err := e.Query(context.Background(), quicknn.Point{}, quicknn.QueryOptions{K: 1}); err != nil {
-		t.Fatalf("Query: %v", err)
+	if _, err := e.Do(context.Background(), Submission{Queries: []quicknn.Point{{}}, Opts: quicknn.QueryOptions{K: 1}}); err != nil {
+		t.Fatalf("Do: %v", err)
 	}
 	if e.FlightRecords() != nil || e.SlowLog() != nil || e.TailEstimate() != 0 || e.TailQuantile() != 0 {
 		t.Fatal("recording accessors must be inert without a sink")

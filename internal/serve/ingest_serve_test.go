@@ -143,12 +143,12 @@ func TestParallelIngestConcurrentWithQueries(t *testing.T) {
 				for i := range queries {
 					queries[i] = quicknn.Point{X: qrng.Float32() * 100, Y: qrng.Float32() * 100}
 				}
-				res, err := e.QueryBatch(context.Background(), queries, quicknn.QueryOptions{K: 4})
+				res, err := e.Do(context.Background(), Submission{Queries: queries, Opts: quicknn.QueryOptions{K: 4}})
 				if err != nil {
 					errs <- err
 					return
 				}
-				for _, nbs := range res {
+				for _, nbs := range res.Results {
 					tag := nbs[0].Point.Z
 					for _, nb := range nbs[1:] {
 						if nb.Point.Z != tag {

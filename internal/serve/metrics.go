@@ -12,7 +12,6 @@ type metrics struct {
 	shed        *obs.Counter
 	batches     *obs.Counter
 	frames      *obs.Counter
-	steals      *obs.Counter
 	queueDepth  *obs.Gauge
 	window      *obs.Gauge
 	epoch       *obs.Gauge
@@ -60,11 +59,9 @@ func newMetrics(sink *obs.Sink) *metrics {
 	m.shed = reg.Counter("quicknn_serve_shed_total",
 		"Requests shed by backpressure (submission queue full).").With()
 	m.batches = reg.Counter("quicknn_serve_batches_total",
-		"Micro-batches dispatched to the worker pool.").With()
+		"Micro-batches dispatched to batch goroutines.").With()
 	m.frames = reg.Counter("quicknn_serve_frames_total",
 		"Frames ingested (epoch advances).").With()
-	m.steals = reg.Counter("quicknn_serve_steals_total",
-		"Work-stealing operations between batch workers.").With()
 	m.queueDepth = reg.Gauge("quicknn_serve_queue_depth",
 		"Requests waiting in the submission queue.").With()
 	m.window = reg.Gauge("quicknn_serve_batch_window_seconds",

@@ -39,7 +39,8 @@ func (s *epochSanitizer) acquired(e *epoch) {
 	}
 }
 
-// checkLive fires on each use of a pinned epoch (per-query in runItem):
+// checkLive fires on each use of a pinned epoch (per request in
+// runRequest):
 // a retired epoch still being searched is a use-after-retire.
 func (s *epochSanitizer) checkLive(e *epoch, op string) {
 	if s.retired.Load() {

@@ -141,8 +141,8 @@ func TestSanitizerCleanUnderLoad(t *testing.T) {
 				for i := range queries {
 					queries[i] = quicknn.Point{X: qrng.Float32() * 100, Y: qrng.Float32() * 100}
 				}
-				if _, err := e.QueryBatch(context.Background(), queries, quicknn.QueryOptions{K: 3}); err != nil {
-					t.Errorf("QueryBatch: %v", err)
+				if _, err := e.Do(context.Background(), Submission{Queries: queries, Opts: quicknn.QueryOptions{K: 3}}); err != nil {
+					t.Errorf("Do: %v", err)
 					return
 				}
 			}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/quicknn/quicknn/internal/kdtree"
 )
@@ -57,8 +55,8 @@ type QueryOptions struct {
 	Checks int
 	// Radius is the search radius of ModeRadius, in meters.
 	Radius float64
-	// Workers bounds QueryBatch's parallel fan-out (<= 0 = GOMAXPROCS).
-	// Single-query Query ignores it.
+	// Workers bounds the parallel fan-out of QueryBatch and
+	// QueryBatchInto (<= 0 = GOMAXPROCS). Single-query Query ignores it.
 	Workers int
 }
 
@@ -104,8 +102,8 @@ func (ix *Index) Query(ctx context.Context, q Point, opts QueryOptions) ([]Neigh
 // dst (which may be nil) and all traversal state lives in sc. With a warm
 // Scratch, a dst of capacity >= K, and an uncancellable ctx
 // (context.Background), the non-radius modes perform zero heap
-// allocations per call — the property the serving engine's batch workers
-// and the AllocsPerRun guards in hotpath_alloc_test.go rely on.
+// allocations per call — the property the AllocsPerRun guards in
+// hotpath_alloc_test.go pin.
 //
 // On error (including cancellation) dst is returned unextended; a nil
 // dst comes back nil.
@@ -153,26 +151,27 @@ func (ix *Index) QueryInto(ctx context.Context, q Point, opts QueryOptions, sc *
 	return res, nil
 }
 
-// batchGrain is the number of queries a QueryBatch worker claims per
-// atomic fetch. Small enough that cancellation is honored promptly and
-// stragglers rebalance, large enough that the counter is not contended.
-const batchGrain = 16
+// batchSpec maps the options onto the k-d tree's batch runner.
+func (o QueryOptions) batchSpec() kdtree.BatchSpec {
+	spec := kdtree.BatchSpec{K: o.K, Checks: o.Checks, Radius: o.Radius}
+	switch o.Mode {
+	case ModeExact:
+		spec.Mode = kdtree.BatchExact
+	case ModeChecks:
+		spec.Mode = kdtree.BatchChecks
+	case ModeRadius:
+		spec.Mode = kdtree.BatchRadius
+	}
+	return spec
+}
 
-// QueryBatch runs one search per query under the given options, fanned
-// out across opts.Workers goroutines (GOMAXPROCS when <= 0). Queries are
-// claimed dynamically in batchGrain-sized chunks rather than static
-// contiguous shards, so an unlucky worker cannot stall the batch; ctx is
-// checked between chunks and inside each query's bucket loop, and the
-// first cancellation abandons the batch with ctx.Err(). The returned
-// slice is parallel to queries.
-//
-// Memory layout: in the k-bounded modes every result neighbor lives in
-// one flat backing array allocated up front (len(queries)*K records);
-// out[qi] is a capacity-capped view of its stride-K region, so workers
-// append into disjoint spans with no per-query slice allocations and no
-// false sharing of slice headers. ModeRadius, whose result count is
-// data-dependent, falls back to per-query slices. Each worker keeps one
-// pooled Scratch for the whole batch.
+// QueryBatch runs one search per query under the given options and
+// returns a slice parallel to queries. It is QueryBatchInto over freshly
+// allocated result regions: in the k-bounded modes every result neighbor
+// lives in one flat backing array (len(queries)*K records) and out[qi] is
+// a capacity-capped view of its stride-K region, so no per-query slice is
+// allocated; ModeRadius, whose result count is data-dependent, grows
+// per-query slices. On error (including cancellation) the result is nil.
 func (ix *Index) QueryBatch(ctx context.Context, queries []Point, opts QueryOptions) ([][]Neighbor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -183,108 +182,65 @@ func (ix *Index) QueryBatch(ctx context.Context, queries []Point, opts QueryOpti
 	if len(queries) == 0 {
 		return [][]Neighbor{}, nil
 	}
+	out := make([][]Neighbor, len(queries))
+	if opts.Mode != ModeRadius {
+		k := opts.K
+		backing := make([]Neighbor, len(queries)*k)
+		for qi := range out {
+			out[qi] = backing[qi*k : qi*k : (qi+1)*k]
+		}
+	}
+	if _, err := ix.QueryBatchInto(ctx, queries, opts, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// QueryBatchInto is the caller-owned form of QueryBatch and the one
+// batch entry point of the read path: query qi's neighbors are appended
+// to results[qi], and the summed work of all queries is returned. Every
+// mode runs on the k-d tree's leaf-grouped batch executor
+// (docs/performance.md): queries are pre-sorted by primary bucket, so
+// each arena span is scanned while cache-hot for all of its queries, and
+// the grouped order is fanned out over up to opts.Workers goroutines
+// (GOMAXPROCS when <= 0; at most one per 16 queries, the calling
+// goroutine included). Grouping is a pure reordering: answers and stats
+// equal per-query QueryInto calls exactly.
+//
+// In the k-bounded modes each results[qi] should have capacity for K
+// more neighbors and, with more than one worker, must not alias another
+// query's region; with such regions, one worker, a warm pool and an
+// uncancellable ctx (context.Background) the call performs zero heap
+// allocations. ctx is polled whenever a worker enters a new leaf group
+// and, in the backtracking modes, before every bucket scan; cancellation
+// abandons the batch with ctx.Err(), leaving results partially filled.
+func (ix *Index) QueryBatchInto(ctx context.Context, queries []Point, opts QueryOptions, results [][]Neighbor) (QueryStats, error) {
+	if err := ctx.Err(); err != nil {
+		return QueryStats{}, err
+	}
+	if err := opts.validate(); err != nil {
+		return QueryStats{}, err
+	}
+	if len(results) < len(queries) {
+		return QueryStats{}, fmt.Errorf("%w: %d result regions for %d queries", ErrInvalidOptions, len(results), len(queries))
+	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if max := (len(queries) + batchGrain - 1) / batchGrain; workers > max {
-		workers = max
+	var stop func() bool
+	if ctx.Done() != nil {
+		stop = func() bool { return ctx.Err() != nil }
 	}
-	out := make([][]Neighbor, len(queries))
-	// Flat result backing for the k-bounded modes: query qi appends into
-	// backing[qi*K : qi*K : (qi+1)*K] — zero-length, capacity-K regions
-	// that can never reallocate (each mode returns at most K neighbors)
-	// and never alias a neighboring query's span.
-	var backing []Neighbor
-	if opts.Mode != ModeRadius {
-		backing = make([]Neighbor, len(queries)*opts.K)
+	st, inserts, stopped := ix.tree.SearchBatch(queries, opts.batchSpec(), workers, results, stop)
+	work := QueryStats{
+		TraversalSteps: st.TraversalSteps,
+		PointsScanned:  st.PointsScanned,
+		BucketsVisited: st.BucketsVisited,
+		CandInserts:    inserts,
 	}
-	region := func(qi int) []Neighbor {
-		if backing == nil {
-			return nil
-		}
-		return backing[qi*opts.K : qi*opts.K : (qi+1)*opts.K]
+	if stopped {
+		return work, ctx.Err()
 	}
-	if opts.Mode == ModeApprox {
-		// The approximate mode runs on the kd-tree's leaf-grouped batch
-		// executor (docs/performance.md): queries are pre-sorted by primary
-		// bucket so each arena span is scanned while cache-hot for all of
-		// its queries, serially or fanned out over the same worker count.
-		// Results and stats are identical to the per-query loop below —
-		// grouping is a pure reordering — so this is a fast path, not a
-		// semantic fork.
-		for qi := range out {
-			out[qi] = region(qi)
-		}
-		var stop func() bool
-		if ctx.Done() != nil {
-			stop = func() bool { return ctx.Err() != nil }
-		}
-		if _, stopped := ix.tree.SearchApproxBatch(queries, opts.K, workers, out, stop); stopped {
-			return nil, ctx.Err()
-		}
-		return out, nil
-	}
-	if workers <= 1 {
-		sc := getQueryScratch()
-		defer putQueryScratch(sc)
-		for qi := range queries {
-			if qi%batchGrain == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			res, err := ix.QueryInto(ctx, queries[qi], opts, sc, region(qi))
-			if err != nil {
-				return nil, err
-			}
-			out[qi] = res
-		}
-		return out, nil
-	}
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		firstErr atomic.Value // error
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := getQueryScratch()
-			defer putQueryScratch(sc)
-			for {
-				lo := int(next.Add(batchGrain)) - batchGrain
-				if lo >= len(queries) || failed.Load() {
-					return
-				}
-				hi := lo + batchGrain
-				if hi > len(queries) {
-					hi = len(queries)
-				}
-				if err := ctx.Err(); err != nil {
-					if failed.CompareAndSwap(false, true) {
-						firstErr.Store(err)
-					}
-					return
-				}
-				for qi := lo; qi < hi; qi++ {
-					res, err := ix.QueryInto(ctx, queries[qi], opts, sc, region(qi))
-					if err != nil {
-						if failed.CompareAndSwap(false, true) {
-							firstErr.Store(err)
-						}
-						return
-					}
-					out[qi] = res
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() {
-		return nil, firstErr.Load().(error)
-	}
-	return out, nil
+	return work, nil
 }

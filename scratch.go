@@ -10,8 +10,7 @@ import (
 // QueryInto entry point: the running candidate list plus the traversal
 // stack and branch heap of the backtracking modes. A zero-cost wrapper
 // over the k-d tree's internal scratch, it exists so callers that issue
-// many queries (the serving engine's batch workers, benchmark loops,
-// odometry pipelines) can pay the traversal-state allocations once and
+// many queries one at a time (benchmark loops, odometry pipelines) can pay the traversal-state allocations once and
 // never again.
 //
 // A Scratch must not be used by two concurrent queries. The zero value is
@@ -23,12 +22,13 @@ type Scratch struct {
 	last QueryStats
 }
 
-// QueryStats is the work one query performed: how many internal nodes
-// the traversal visited, how many buckets and reference points the scan
-// examined, and how many candidate-list insertions ("heap churn") the
-// running top-k list absorbed. The flight recorder aggregates these per
-// request so a slow query can be attributed to tree shape (traversal),
-// bucket occupancy (scan) or contention for the candidate list (churn).
+// QueryStats is the work one query — or, summed, one QueryBatchInto
+// call — performed: how many internal nodes the traversal visited, how
+// many buckets and reference points the scan examined, and how many
+// candidate-list insertions ("heap churn") the running top-k list
+// absorbed. The flight recorder records them per request so a slow
+// request can be attributed to tree shape (traversal), bucket occupancy
+// (scan) or contention for the candidate list (churn).
 type QueryStats struct {
 	TraversalSteps int
 	PointsScanned  int
@@ -49,8 +49,8 @@ func (s *Scratch) LastStats() QueryStats { return s.last }
 // (see docs/performance.md).
 func NewScratch() *Scratch { return &Scratch{s: kdtree.NewScratch()} }
 
-// queryScratchPool backs the convenience entry points (Query, QueryBatch,
-// Search, ...) so that even they stop allocating traversal state per
+// queryScratchPool backs the convenience entry points (Query, Search,
+// ...) so that even they stop allocating traversal state per
 // call — only their returned result slices remain.
 var queryScratchPool = sync.Pool{New: func() interface{} { return NewScratch() }}
 
