@@ -8,8 +8,9 @@ FUZZTIME  ?= 10s
 # one); the MIN_* gates are the acceptance thresholds BENCH_hotpath.json
 # must meet on the batch-shaped benchmarks (docs/performance.md). Set
 # MIN_SPEEDUP=0 for runs on noisy/shared machines — the allocs/op gate
-# stays meaningful at any benchtime because allocation counts are
-# deterministic.
+# stays meaningful at any benchtime because the code's own allocations
+# are deterministic (the runtime's GC-dependent pool and goroutine
+# allocations are explained in docs/performance.md).
 BENCHTIME     ?= 2s
 MIN_SPEEDUP   ?= 1.4
 MIN_ALLOC_RED ?= 0.9

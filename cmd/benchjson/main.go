@@ -38,11 +38,14 @@ import (
 	"strings"
 )
 
-// Measurement is one benchmark's numbers from one run.
+// Measurement is one benchmark's numbers from one run. Metrics holds
+// the benchmark's custom b.ReportMetric figures keyed by unit (for
+// example "points/query").
 type Measurement struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  float64            `json:"bytes_per_op"`
+	AllocsPerOp float64            `json:"allocs_per_op"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Comparison is one benchmark's baseline/current pair plus derived
@@ -110,6 +113,9 @@ type Report struct {
 	Benchmarks   map[string]Comparison `json:"benchmarks"`
 	// Overheads is keyed by the enabled benchmark's name (see -overhead-pair).
 	Overheads map[string]Overhead `json:"overheads,omitempty"`
+	// CurrentOnly holds the current run's benchmarks that have no line in
+	// the baseline (added after it was frozen): reported, never gated.
+	CurrentOnly map[string]Measurement `json:"current_only,omitempty"`
 }
 
 func main() {
@@ -164,6 +170,7 @@ func main() {
 		os.Exit(1)
 	}
 	pairFailures := addOverheads(&report, current, *pairList, *maxOverhead)
+	addCurrentOnly(&report, baseline, current)
 
 	out, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -232,6 +239,24 @@ func addOverheads(report *Report, current map[string]Measurement, pairList strin
 	return failed
 }
 
+// addCurrentOnly records the current run's benchmarks that neither have
+// a baseline line nor belong to an overhead pair.
+func addCurrentOnly(report *Report, baseline, current map[string]Measurement) {
+	paired := make(map[string]bool)
+	for enabled, o := range report.Overheads {
+		paired[enabled], paired[o.DisabledName] = true, true
+	}
+	for name, cur := range current {
+		if _, ok := baseline[name]; ok || paired[name] {
+			continue
+		}
+		if report.CurrentOnly == nil {
+			report.CurrentOnly = make(map[string]Measurement)
+		}
+		report.CurrentOnly[name] = cur
+	}
+}
+
 // checkGates applies the thresholds to the named benchmarks and returns
 // one message per violation (including gated benchmarks absent from the
 // report — a silently skipped benchmark must not pass the gate).
@@ -280,7 +305,8 @@ func parseFile(path string) (map[string]Measurement, error) {
 //
 //	BenchmarkName-8   266   4487313 ns/op   573696 B/op   2050 allocs/op
 //
-// keyed by the benchmark name with the -GOMAXPROCS suffix stripped.
+// keyed by the benchmark name with the -GOMAXPROCS suffix stripped. Any
+// other value-unit pair on the line is a custom metric.
 func parseBench(r io.Reader, path string) (map[string]Measurement, error) {
 	out := make(map[string]Measurement)
 	sc := bufio.NewScanner(r)
@@ -310,6 +336,11 @@ func parseBench(r io.Reader, path string) (map[string]Measurement, error) {
 				m.BytesPerOp = v
 			case "allocs/op":
 				m.AllocsPerOp = v
+			default:
+				if m.Metrics == nil {
+					m.Metrics = make(map[string]float64)
+				}
+				m.Metrics[fields[i+1]] = v
 			}
 		}
 		if seen {

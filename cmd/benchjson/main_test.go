@@ -10,6 +10,7 @@ goarch: amd64
 pkg: github.com/quicknn/quicknn/internal/kdtree
 BenchmarkHotSearchAllApprox-8   	     266	   4487313 ns/op	  573696 B/op	    2050 allocs/op
 BenchmarkHotSearchApprox-8      	  467000	      2571 ns/op	     368 B/op	       2 allocs/op
+BenchmarkHotSearchExactFrames-2 	     225	   5065881 ns/op	         4.543 buckets/query	      1095 points/query	      95 B/op	       0 allocs/op
 PASS
 `
 
@@ -25,8 +26,16 @@ func TestParseBench(t *testing.T) {
 	if m.NsPerOp != 4487313 || m.BytesPerOp != 573696 || m.AllocsPerOp != 2050 {
 		t.Fatalf("HotSearchAllApprox = %+v", m)
 	}
-	if len(got) != 2 {
-		t.Fatalf("parsed %d benchmarks, want 2", len(got))
+	if m.Metrics != nil {
+		t.Fatalf("HotSearchAllApprox has custom metrics %v, want none", m.Metrics)
+	}
+	e := got["HotSearchExactFrames"]
+	if e.NsPerOp != 5065881 || e.BytesPerOp != 95 || e.AllocsPerOp != 0 ||
+		e.Metrics["buckets/query"] != 4.543 || e.Metrics["points/query"] != 1095 || len(e.Metrics) != 2 {
+		t.Fatalf("HotSearchExactFrames = %+v", e)
+	}
+	if len(got) != 3 {
+		t.Fatalf("parsed %d benchmarks, want 3", len(got))
 	}
 }
 
@@ -99,5 +108,19 @@ func TestCurrentHostStamped(t *testing.T) {
 	h := currentHost()
 	if h.CPU == "" || h.NumCPU < 1 || h.GOMAXPROCS < 1 || !strings.HasPrefix(h.GoVersion, "go") {
 		t.Fatalf("incomplete host stamp: %+v", h)
+	}
+}
+
+func TestAddCurrentOnly(t *testing.T) {
+	baseline := map[string]Measurement{"Old": {NsPerOp: 10}}
+	current := map[string]Measurement{
+		"Old":      {NsPerOp: 5},
+		"New":      {NsPerOp: 7, Metrics: map[string]float64{"points/query": 3}},
+		"RecordOn": {NsPerOp: 2}, "RecordOff": {NsPerOp: 1},
+	}
+	report := Report{Overheads: map[string]Overhead{"RecordOn": {DisabledName: "RecordOff"}}}
+	addCurrentOnly(&report, baseline, current)
+	if len(report.CurrentOnly) != 1 || report.CurrentOnly["New"].Metrics["points/query"] != 3 {
+		t.Fatalf("current-only = %+v, want just New with its metric", report.CurrentOnly)
 	}
 }

@@ -73,7 +73,12 @@ func FuzzLoadIndex(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Anything accepted must behave like a valid index.
+		// Anything accepted must be a valid index — its bucket boxes
+		// included, so no loaded file can carry a stale box — and behave
+		// like one.
+		if err := loaded.tree.Validate(); err != nil {
+			t.Fatalf("accepted index fails Validate: %v", err)
+		}
 		if loaded.Len() > 0 {
 			q := loaded.Points()[0]
 			res := loaded.Search(q, 1)

@@ -92,7 +92,7 @@ func TestScratchReuseAcrossKs(t *testing.T) {
 			Z: float32(rng.Float64() * 4),
 		}
 		got, gotStats := tree.SearchExactInto(q, k, s, nil)
-		want, wantStats := refSearchExact(tree, q, k)
+		want, wantStats := refSearchExactTight(tree, q, k)
 		diffNeighbors(t, "reuse/exact", got, want, gotStats, wantStats)
 	}
 }

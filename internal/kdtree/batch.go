@@ -217,7 +217,7 @@ func (t *Tree) runOrder(queries []geom.Point, spec BatchSpec, pl *batchPlan, ord
 			stats.BucketsVisited++
 		case BatchExact:
 			s.initCands(spec.K)
-			if t.searchExactCore(q, s, &stats, stop, nil) {
+			if t.searchExactCore(q, tightBounds, s, &stats, stop, nil) {
 				return stats, inserts, true
 			}
 		case BatchChecks:

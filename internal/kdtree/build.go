@@ -232,11 +232,13 @@ func (t *Tree) placeInto(points []geom.Point) {
 // ResetBuckets empties every bucket while keeping the split structure —
 // the "static tree" reuse mode of §4.4: thresholds stay fixed, only the
 // buckets are refilled each frame. Arena spans keep their capacity, so
-// re-placing a same-shaped frame touches no allocator at all.
+// re-placing a same-shaped frame touches no allocator at all. Every box
+// empties with its bucket.
 func (t *Tree) ResetBuckets() {
 	for i := range t.buckets {
 		if t.buckets[i].live {
 			t.buckets[i].n = 0
+			t.boxes[i] = emptyBox
 		}
 	}
 }

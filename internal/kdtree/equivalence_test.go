@@ -29,7 +29,8 @@ func refScanBucket(t *Tree, b int32, q geom.Point, tk *nn.TopK) int {
 	return len(pts)
 }
 
-// refSearchExact is the classic recursive backtracking search.
+// refSearchExact is the classic recursive backtracking search, pruning
+// each far child by its split plane alone (the plane rule).
 func refSearchExact(t *Tree, q geom.Point, k int) ([]nn.Neighbor, SearchStats) {
 	tk := nn.NewTopK(k)
 	var stats SearchStats
@@ -214,14 +215,22 @@ func equivalenceQueries(n int, seed int64) []geom.Point {
 	return qs
 }
 
+// TestSearchExactMatchesReference pins each exact rule to its recursive
+// oracle, stats included: SearchExact to the tight-rule oracle and
+// SearchExactBuckets to the plane-rule one. Both oracles return the
+// same neighbors.
 func TestSearchExactMatchesReference(t *testing.T) {
 	queries := equivalenceQueries(60, 43)
 	for name, tree := range treeVariants(t) {
 		for _, k := range []int{1, 5, 16} {
 			for _, q := range queries {
-				want, wantStats := refSearchExact(tree, q, k)
+				want, wantStats := refSearchExactTight(tree, q, k)
 				got, gotStats := tree.SearchExact(q, k)
 				diffNeighbors(t, name+"/exact", got, want, gotStats, wantStats)
+				wantPlane, wantPlaneStats := refSearchExact(tree, q, k)
+				gotPlane, _, gotPlaneStats := tree.SearchExactBuckets(q, k)
+				diffNeighbors(t, name+"/exact-plane", gotPlane, wantPlane, gotPlaneStats, wantPlaneStats)
+				diffNeighbors(t, name+"/exact-rules", got, wantPlane, SearchStats{}, SearchStats{})
 			}
 		}
 	}

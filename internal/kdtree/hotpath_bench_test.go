@@ -2,9 +2,12 @@ package kdtree
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/quicknn/quicknn/internal/geom"
+	"github.com/quicknn/quicknn/internal/lidar"
+	"github.com/quicknn/quicknn/internal/nn"
 )
 
 // Hot-path benchmarks: the steady-state query workload the zero-allocation
@@ -114,4 +117,75 @@ func BenchmarkHotSearchAllExact(b *testing.B) {
 			b.Fatalf("got %d results", len(res))
 		}
 	}
+}
+
+// The exact-frames pair runs the exact search the way perfbench's
+// drive_rebuild_exact does: frame 1 of a simulated 30k-point LiDAR drive
+// against a tree over frame 0 (256-point buckets, k=8), one op = one
+// 1,000-query batch, cycling through the query frame. Each reports the
+// work per query as points/query and buckets/query.
+//
+// BenchmarkHotSearchExactFrames is the production path, SearchBatch in
+// BatchExact mode (the tight rule). BenchmarkHotSearchExactFramesPlane
+// runs the same grouped order with the plane rule, which is the exact
+// search before per-bucket boxes and the per-axis bound: the pair
+// measures the pruning within one run, on one host.
+
+const exactFramesBatch = 1000
+
+var (
+	exactFramesOnce sync.Once
+	exactFramesTree *Tree
+	exactFramesQry  []geom.Point
+)
+
+func exactFrames(b *testing.B) (*Tree, []geom.Point) {
+	b.Helper()
+	exactFramesOnce.Do(func() {
+		ref, qry := lidar.FramePair(30000, 24)
+		exactFramesTree = Build(ref, Config{BucketSize: 256, Parallelism: 1}, rand.New(rand.NewSource(1)))
+		exactFramesQry = qry[:len(qry)/exactFramesBatch*exactFramesBatch]
+	})
+	return exactFramesTree, exactFramesQry
+}
+
+func benchExactFrames(b *testing.B, run func(t *Tree, batch []geom.Point, out [][]nn.Neighbor) SearchStats) {
+	tree, qry := exactFrames(b)
+	out := batchRegions(exactFramesBatch, 8)
+	var total SearchStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := i * exactFramesBatch % len(qry)
+		for qi := range out {
+			out[qi] = out[qi][:0]
+		}
+		total.Add(run(tree, qry[lo:lo+exactFramesBatch], out))
+	}
+	b.StopTimer()
+	queries := float64(b.N * exactFramesBatch)
+	b.ReportMetric(float64(total.PointsScanned)/queries, "points/query")
+	b.ReportMetric(float64(total.BucketsVisited)/queries, "buckets/query")
+}
+
+func BenchmarkHotSearchExactFrames(b *testing.B) {
+	benchExactFrames(b, func(t *Tree, batch []geom.Point, out [][]nn.Neighbor) SearchStats {
+		st, _, _ := t.SearchBatch(batch, BatchSpec{Mode: BatchExact, K: 8}, 1, out, nil)
+		return st
+	})
+}
+
+func BenchmarkHotSearchExactFramesPlane(b *testing.B) {
+	s := NewScratch()
+	pl := new(batchPlan)
+	benchExactFrames(b, func(t *Tree, batch []geom.Point, out [][]nn.Neighbor) SearchStats {
+		var st SearchStats
+		t.plan(batch, pl)
+		for _, qi := range pl.order {
+			s.initCands(8)
+			t.searchExactCore(batch[qi], planeBounds, s, &st, nil, nil)
+			out[qi] = t.appendCands(out[qi], s.cands)
+		}
+		return st
+	})
 }

@@ -349,7 +349,9 @@ func (t *Tree) scatterPlace(points []geom.Point, pl *placePlan, vlen int32, hole
 }
 
 // scatterBucket fills bucket b's planned final span: its prior content
-// (moved when the bucket relocates), then its new points in input order.
+// (moved when the bucket relocates), then its new points in input order,
+// and extends the bucket's box over the new points (the prior content's
+// box is already current).
 func (t *Tree) scatterBucket(points []geom.Point, pl *placePlan, b int) {
 	group := pl.order[pl.starts[b]:pl.starts[b+1]]
 	off, n0 := pl.vOff[b], pl.oN[b]
@@ -361,6 +363,7 @@ func (t *Tree) scatterBucket(points []geom.Point, pl *placePlan, b int) {
 		t.arenaSet(w, points[pi], pi)
 		w++
 	}
+	t.boxes[b].extend(t.arenaX[off+n0:w], t.arenaY[off+n0:w], t.arenaZ[off+n0:w])
 }
 
 // stagedNode is one node of a privately staged subtree (the fanned

@@ -38,10 +38,10 @@ func eqI32(a, b []int32) bool {
 
 // requireTreesByteEqual asserts the full structural and arena state
 // match between a reference-built tree and one from the ingest engine:
-// nodes, buckets with their offsets and capacities, free lists, hole
-// count, arena length, and every live arena slot. Hole and slack slots
-// are not compared — nothing reads them. cfg.Parallelism is the one
-// field allowed to differ.
+// nodes, buckets with their offsets and capacities, bucket boxes, free
+// lists, hole count, arena length, and every live arena slot. Hole and
+// slack slots are not compared — nothing reads them. cfg.Parallelism is
+// the one field allowed to differ.
 func requireTreesByteEqual(t *testing.T, label string, ref, got *Tree) {
 	t.Helper()
 	if ref.root != got.root {
@@ -63,6 +63,14 @@ func requireTreesByteEqual(t *testing.T, label string, ref, got *Tree) {
 			}
 		}
 		t.Fatalf("%s: bucket tables diverge: %d vs %d buckets", label, len(got.buckets), len(ref.buckets))
+	}
+	if !reflect.DeepEqual(ref.boxes, got.boxes) {
+		for i := range ref.boxes {
+			if i < len(got.boxes) && ref.boxes[i] != got.boxes[i] {
+				t.Fatalf("%s: bucket %d box = %v, want %v", label, i, got.boxes[i], ref.boxes[i])
+			}
+		}
+		t.Fatalf("%s: box tables diverge: %d vs %d boxes", label, len(got.boxes), len(ref.boxes))
 	}
 	if !eqI32(ref.freeNodes, got.freeNodes) {
 		t.Fatalf("%s: free node lists diverge:\n got %v\nwant %v", label, got.freeNodes, ref.freeNodes)

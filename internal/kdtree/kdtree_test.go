@@ -484,12 +484,17 @@ func TestSearchRadiusPrunes(t *testing.T) {
 	}
 }
 
+// TestSearchExactBucketsMatchesExact checks that SearchExactBuckets
+// returns SearchExact's neighbors with the plane rule's visit list and
+// stats: the list matches the stats, never repeats a bucket, and holds
+// every bucket the tight rule scans and more.
 func TestSearchExactBucketsMatchesExact(t *testing.T) {
 	pts := clusteredPoints(2000, 55)
 	tree := mustBuild(t, pts, Config{BucketSize: 64}, 56)
 	queries := clusteredPoints(50, 57)
 	for _, q := range queries {
-		wantRes, wantStats := tree.SearchExact(q, 5)
+		wantRes, tightStats := tree.SearchExact(q, 5)
+		_, wantStats := refSearchExact(tree, q, 5)
 		gotRes, buckets, gotStats := tree.SearchExactBuckets(q, 5)
 		if len(gotRes) != len(wantRes) {
 			t.Fatal("result length mismatch")
@@ -500,7 +505,10 @@ func TestSearchExactBucketsMatchesExact(t *testing.T) {
 			}
 		}
 		if gotStats != wantStats {
-			t.Fatalf("stats differ: %+v vs %+v", gotStats, wantStats)
+			t.Fatalf("stats differ from the plane rule: %+v vs %+v", gotStats, wantStats)
+		}
+		if tightStats.BucketsVisited > gotStats.BucketsVisited || tightStats.PointsScanned > gotStats.PointsScanned {
+			t.Fatalf("tight rule did more work than the plane rule: %+v vs %+v", tightStats, gotStats)
 		}
 		if len(buckets) != gotStats.BucketsVisited {
 			t.Fatalf("bucket trace %d entries, stats say %d", len(buckets), gotStats.BucketsVisited)

@@ -1,9 +1,11 @@
 package kdtree
 
 import (
+	"math"
 	"math/rand"
 
 	"github.com/quicknn/quicknn/internal/geom"
+	"github.com/quicknn/quicknn/internal/nn"
 )
 
 // The reference builder: the one-at-a-time algorithms that the ingest
@@ -13,6 +15,10 @@ import (
 // time, in list order. It is the equivalence oracle of ingest_test.go:
 // at every worker count, the engine's trees must be byte-equal to the
 // reference's (requireTreesByteEqual).
+//
+// The file also holds the tight-rule exact search oracle
+// (refSearchExactTight), the recursive form of searchExactCore under
+// tightBounds with every bucket box recomputed from the bucket's points.
 
 // refBuild is Build done one step at a time.
 func refBuild(points []geom.Point, cfg Config, rng *rand.Rand) *Tree {
@@ -134,10 +140,8 @@ func refCollect(t *Tree, idx int32, s *pointSet, freed *freedSet, keepRoot bool)
 	if nd.Leaf() {
 		s.pts = t.AppendBucketPoints(s.pts, nd.Bucket)
 		s.idxs = append(s.idxs, t.BucketIndices(nd.Bucket)...)
-		t.arenaHole += int(t.buckets[nd.Bucket].cap)
-		t.buckets[nd.Bucket] = Bucket{}
+		t.retireBucket(nd.Bucket)
 		t.freeBuckets = append(t.freeBuckets, nd.Bucket)
-		t.liveBuckets--
 	} else {
 		refCollect(t, nd.Left, s, freed, false)
 		refCollect(t, nd.Right, s, freed, false)
@@ -158,13 +162,7 @@ func refRebuildNode(t *Tree, idx int32, s pointSet, axis geom.Axis, target int, 
 	makeLeaf := func() {
 		b := t.bucket(idx)
 		t.nodes[idx].Bucket = b
-		n := int32(len(s.pts))
-		off := t.arenaReserve(n)
-		for i := int32(0); i < n; i++ {
-			t.arenaSet(off+i, s.pts[i], s.idxs[i])
-		}
-		bk := &t.buckets[b]
-		bk.off, bk.n, bk.cap = off, n, n
+		t.fillBucket(b, s.pts, s.idxs)
 	}
 	if len(s.pts) <= target {
 		makeLeaf()
@@ -188,4 +186,66 @@ func refRebuildNode(t *Tree, idx int32, s pointSet, axis geom.Axis, target int, 
 	t.nodes[right].Parent = idx
 	refRebuildNode(t, left, lo, splitAxis.Next(), target, freed, res)
 	refRebuildNode(t, right, hi, splitAxis.Next(), target, freed, res)
+}
+
+// refSearchExactTight is the recursive backtracking search under the
+// tight rule, the oracle for SearchExact's answers and stats (the
+// plane-rule oracle, refSearchExact in equivalence_test.go, pins
+// SearchExactBuckets). A far child carries its parent's per-axis offsets
+// with the split axis replaced by the split offset, and is entered only
+// while its cell bound is below the k-th distance; once the list is
+// full, a bucket is scanned only while the distance to its box — taken
+// by brute force over the bucket's points, never from the tree's stored
+// boxes — is below the k-th distance.
+func refSearchExactTight(t *Tree, q geom.Point, k int) ([]nn.Neighbor, SearchStats) {
+	tk := nn.NewTopK(k)
+	var stats SearchStats
+	qc := [3]float64{float64(q.X), float64(q.Y), float64(q.Z)}
+	var rec func(idx int32, off [3]float64)
+	rec = func(idx int32, off [3]float64) {
+		nd := t.nodes[idx]
+		if nd.Leaf() {
+			if w, full := tk.Worst(); full && refBoxDistSq(t.AppendBucketPoints(nil, nd.Bucket), qc) >= w {
+				return
+			}
+			stats.PointsScanned += refScanBucket(t, nd.Bucket, q, tk)
+			stats.BucketsVisited++
+			return
+		}
+		stats.TraversalSteps++
+		near := nd.side(q)
+		far := nd.Left
+		if near == nd.Left {
+			far = nd.Right
+		}
+		rec(near, off)
+		off[nd.Axis] = qc[nd.Axis] - float64(nd.Threshold)
+		if w, full := tk.Worst(); !full || off[0]*off[0]+off[1]*off[1]+off[2]*off[2] < w {
+			rec(far, off)
+		}
+	}
+	rec(t.root, [3]float64{})
+	return tk.Results(), stats
+}
+
+// refBoxDistSq is the squared distance from q to the bounding box of
+// pts (+Inf for no points), summed in scanBucket's shape.
+func refBoxDistSq(pts []geom.Point, q [3]float64) float64 {
+	var sum float64
+	for a := geom.AxisX; a < geom.Dims; a++ {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, p := range pts {
+			lo = math.Min(lo, float64(p.Coord(a)))
+			hi = math.Max(hi, float64(p.Coord(a)))
+		}
+		var d float64
+		switch {
+		case q[a] < lo:
+			d = lo - q[a]
+		case q[a] > hi:
+			d = q[a] - hi
+		}
+		sum += d * d
+	}
+	return sum
 }

@@ -7,11 +7,12 @@ import (
 )
 
 // Scratch is the reusable per-goroutine state of the iterative searches:
-// the running top-k candidate list, the explicit node stack of the
-// backtracking searches, and the typed best-bin-first branch heap. A
-// zero Scratch is ready to use; after one warm-up query at a given k,
-// every subsequent search through a *Into entry point performs zero heap
-// allocations (guarded by testing.AllocsPerRun in alloc_test.go).
+// the running top-k candidate list, the exact search's stack of deferred
+// cells, the radius search's node stack, and the typed best-bin-first
+// branch heap. A zero Scratch is ready to use; after one warm-up query at
+// a given k, every subsequent search through a *Into entry point
+// performs zero heap allocations (guarded by testing.AllocsPerRun in
+// alloc_test.go).
 //
 // A Scratch must not be shared by concurrent searches. The scratch-pooling
 // contract (docs/performance.md): everything inside Scratch is reused
@@ -20,6 +21,7 @@ import (
 type Scratch struct {
 	k     int
 	cands []cand
+	cells []cell
 	stack []branch
 	heap  branchHeap
 	dist  []float64 // scanBucket's per-span distance buffer (two-pass scan)
@@ -88,11 +90,21 @@ var scratchPool = sync.Pool{New: func() interface{} { return NewScratch() }}
 func getScratch() *Scratch  { return scratchPool.Get().(*Scratch) }
 func putScratch(s *Scratch) { scratchPool.Put(s) }
 
+// cell is one deferred subtree of the exact search: the far child of a
+// visited split, with the query's per-axis offsets to the child's cell
+// (zero on an axis where the query lies within the cell's extent). The
+// squared lower bound is recomputed from them at pop time
+// (searchExactCore).
+type cell struct {
+	node int32
+	off  [3]float64
+}
+
 // branch is one deferred subtree: the far child of a visited split, with
-// the relevant squared-distance lower bound. The exact search keeps them
-// on a LIFO stack (bound = distance to the splitting plane, the classic
-// backtracking prune); the checks search keeps them on a min-heap (bound =
-// accumulated region distance, best-bin-first).
+// the relevant squared-distance lower bound. The checks search keeps
+// them on a min-heap (bound = accumulated region distance,
+// best-bin-first); the radius search keeps them on a LIFO stack and
+// reads only the node.
 type branch struct {
 	node  int32
 	bound float64

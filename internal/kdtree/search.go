@@ -189,36 +189,76 @@ func (t *Tree) SearchExact(query geom.Point, k int) ([]nn.Neighbor, SearchStats)
 func (t *Tree) SearchExactInto(query geom.Point, k int, s *Scratch, dst []nn.Neighbor) ([]nn.Neighbor, SearchStats) {
 	s.initCands(k)
 	var stats SearchStats
-	t.searchExactCore(query, s, &stats, nil, nil)
+	t.searchExactCore(query, tightBounds, s, &stats, nil, nil)
 	return t.appendCands(dst, s.cands), stats
 }
 
+// exactRule selects how searchExactCore prunes.
+type exactRule uint8
+
+const (
+	// tightBounds prunes a deferred branch by the query's distance to its
+	// whole cell and skips a bucket by its tight box: the software rule
+	// of every exact entry point except SearchExactBuckets.
+	tightBounds exactRule = iota
+	// planeBounds prunes a deferred branch by the distance to its own
+	// split plane alone and scans every bucket it reaches: the rule the
+	// paper's exact-search hardware implements, whose visit lists the
+	// architecture models replay.
+	planeBounds
+)
+
 // searchExactCore is the iterative backtracking search. The explicit
-// stack holds deferred far children with their splitting-plane bound;
-// LIFO pops reproduce the recursive unwind order exactly, and each
-// deferred branch is re-checked against the (by then tighter) k-th
-// distance at pop time, precisely when the recursion would have. A
-// negative bound marks the root (never pruned). stop, when non-nil, is
-// polled once per bucket visit; a true return abandons the search
-// (candidates gathered so far stay in s.topk, stats keep their partial
-// counts). visited, when non-nil, records each scanned bucket id in visit
-// order for the architecture models.
-func (t *Tree) searchExactCore(query geom.Point, s *Scratch, stats *SearchStats, stop func() bool, visited *[]int32) (stopped bool) {
-	stk := append(s.stack[:0], branch{node: t.root, bound: -1})
+// stack holds deferred far children with the query's per-axis offsets
+// to their cells; LIFO pops reproduce the recursive unwind order
+// exactly, and each deferred branch is re-checked against the (by then
+// tighter) k-th distance at pop time, precisely when the recursion would
+// have. The bound is recomputed from the offsets at every pop rather
+// than updated by subtracting the replaced offset's square, which could
+// round up and skip a point exactly at the bound.
+//
+// Under planeBounds a pushed branch carries only its split's offset, so
+// the bound is the squared distance to that plane (the classic rule).
+// Under tightBounds a far child inherits its parent's offsets with the
+// split axis replaced (the Arya–Mount incremental distance), and, once
+// the candidate list is full, a bucket is skipped when its box's
+// distance (bbox.distSq) reaches the k-th distance. Both rules visit the
+// surviving buckets in the same order, and a bound never exceeds the
+// distance scanBucket computes for a point it covers (monotone
+// rounding, the same sum shape), while scanBucket inserts only below
+// the k-th distance. A skipped subtree or bucket would therefore have
+// inserted nothing, and the two rules return byte-identical neighbors
+// for finite coordinates; only the work counted in stats differs.
+//
+// stop, when non-nil, is polled once per bucket scan; a true return
+// abandons the search (candidates gathered so far stay in s.cands,
+// stats keep their partial counts). visited, when non-nil, records each
+// scanned bucket id in visit order for the architecture models.
+func (t *Tree) searchExactCore(query geom.Point, rule exactRule, s *Scratch, stats *SearchStats, stop func() bool, visited *[]int32) (stopped bool) {
+	tight := rule == tightBounds
+	q := [3]float64{float64(query.X), float64(query.Y), float64(query.Z)}
+	stk := append(s.cells[:0], cell{node: t.root})
 	for len(stk) > 0 {
 		top := stk[len(stk)-1]
 		stk = stk[:len(stk)-1]
-		if top.bound >= 0 {
-			if w, full := s.worst(); full && top.bound >= w {
-				continue // the query ball no longer crosses this plane
-			}
+		off := top.off
+		if w, full := s.worst(); full && off[0]*off[0]+off[1]*off[1]+off[2]*off[2] >= w {
+			continue // the query ball no longer reaches this cell
+		}
+		if !tight {
+			off = [3]float64{}
 		}
 		idx := top.node
 		for {
 			nd := t.nodes[idx]
 			if nd.Leaf() {
+				if tight {
+					if w, full := s.worst(); full && t.boxes[nd.Bucket].distSq(q[0], q[1], q[2]) >= w {
+						break // no point of the bucket can enter the list
+					}
+				}
 				if stop != nil && stop() {
-					s.stack = stk[:0]
+					s.cells = stk[:0]
 					return true
 				}
 				stats.PointsScanned += t.scanBucket(nd.Bucket, query, s)
@@ -234,26 +274,29 @@ func (t *Tree) searchExactCore(query geom.Point, s *Scratch, stats *SearchStats,
 			if near == nd.Left {
 				far = nd.Right
 			}
-			d := float64(query.Coord(nd.Axis)) - float64(nd.Threshold)
-			stk = append(stk, branch{node: far, bound: d * d})
+			fo := off
+			fo[nd.Axis] = q[nd.Axis] - float64(nd.Threshold)
+			stk = append(stk, cell{node: far, off: fo})
 			idx = near
 		}
 	}
-	s.stack = stk[:0] // retain grown capacity for the next query
+	s.cells = stk[:0] // retain grown capacity for the next query
 	return false
 }
 
 // SearchExactBuckets is SearchExact instrumented with the list of bucket
 // ids the backtracking visited, in visit order. The architecture models
 // use it to drive the exact-search hardware comparison (each visited
-// bucket is one more bucket fetch + FU pass).
+// bucket is one more bucket fetch + FU pass), so it prunes by the split
+// planes alone, as that hardware does: its answers equal SearchExact's,
+// its visit list and stats are the plane rule's.
 func (t *Tree) SearchExactBuckets(query geom.Point, k int) ([]nn.Neighbor, []int32, SearchStats) {
 	s := getScratch()
 	defer putScratch(s)
 	s.initCands(k)
 	var stats SearchStats
 	var visited []int32
-	t.searchExactCore(query, s, &stats, nil, &visited)
+	t.searchExactCore(query, planeBounds, s, &stats, nil, &visited)
 	return t.appendCands(nil, s.cands), visited, stats
 }
 

@@ -31,7 +31,7 @@ func (t *Tree) SearchExactStop(query geom.Point, k int, stop func() bool) (res [
 // the caller's prefix; no partial results are appended).
 func (t *Tree) SearchExactStopInto(query geom.Point, k int, s *Scratch, dst []nn.Neighbor, stop func() bool) (res []nn.Neighbor, stats SearchStats, stopped bool) {
 	s.initCands(k)
-	if t.searchExactCore(query, s, &stats, stop, nil) {
+	if t.searchExactCore(query, tightBounds, s, &stats, stop, nil) {
 		return stopReturn(dst), stats, true
 	}
 	return t.appendCands(dst, s.cands), stats, false

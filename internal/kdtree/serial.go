@@ -158,8 +158,10 @@ func ReadFrom(r io.Reader) (*Tree, error) {
 	// Buckets load into a freshly packed arena: spans laid out
 	// back-to-back in bucket order with no slack and no holes, preserving
 	// each bucket's point order so the loaded tree answers every search
-	// bit-identically to the saved one.
+	// bit-identically to the saved one. Boxes are not serialized: each is
+	// derived from its span as it loads.
 	t.buckets = make([]Bucket, numBuckets)
+	t.boxes = make([]bbox, numBuckets)
 	bhdr := make([]uint32, 3)
 	prec := make([]uint32, 4)
 	var totalPoints uint64
@@ -193,6 +195,7 @@ func ReadFrom(r io.Reader) (*Tree, error) {
 			b = Bucket{live: false, Leaf: b.Leaf}
 		}
 		t.buckets[i] = b
+		t.boxes[i] = t.spanBox(b.off, b.off+b.n)
 	}
 	t.freeNodes = make([]int32, numFreeN)
 	for i := range t.freeNodes {

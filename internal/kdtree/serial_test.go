@@ -124,4 +124,14 @@ func TestReadFromRejectsGarbage(t *testing.T) {
 	if _, err := ReadFrom(bytes.NewReader(corrupt)); err == nil {
 		t.Error("bad magic accepted")
 	}
+	// An internal node splitting on no axis: node 0 (the root) starts
+	// right after the 12-word header, with its axis word first.
+	badAxis := append([]byte(nil), buf.Bytes()...)
+	if tree.root != 0 || tree.nodes[0].Leaf() {
+		t.Fatal("expected an internal root at node 0")
+	}
+	badAxis[48] = 7
+	if _, err := ReadFrom(bytes.NewReader(badAxis)); err == nil {
+		t.Error("split axis 7 accepted")
+	}
 }

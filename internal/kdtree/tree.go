@@ -19,6 +19,7 @@ package kdtree
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/quicknn/quicknn/internal/geom"
@@ -63,6 +64,77 @@ type Bucket struct {
 
 // Len returns the number of points in the bucket.
 func (b *Bucket) Len() int { return int(b.n) }
+
+// bbox is a bucket's tight axis-aligned bounding box: min x, y, z, then
+// max x, y, z, over the arena's float64 planes.
+type bbox [6]float64
+
+// emptyBox is the box of no points: every lower bound against it is
+// +Inf, so an empty bucket is always skippable.
+var emptyBox = bbox{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(-1), math.Inf(-1), math.Inf(-1)}
+
+// extend grows the box over the points of the three plane views, which
+// share one length.
+func (b *bbox) extend(xs, ys, zs []float64) {
+	ys, zs = ys[:len(xs)], zs[:len(xs)]
+	bx := *b
+	for i, x := range xs {
+		y, z := ys[i], zs[i]
+		if x < bx[0] {
+			bx[0] = x
+		}
+		if y < bx[1] {
+			bx[1] = y
+		}
+		if z < bx[2] {
+			bx[2] = z
+		}
+		if x > bx[3] {
+			bx[3] = x
+		}
+		if y > bx[4] {
+			bx[4] = y
+		}
+		if z > bx[5] {
+			bx[5] = z
+		}
+	}
+	*b = bx
+}
+
+// distSq is the squared distance from the query to the box, a lower
+// bound on scanBucket's distance to every point in it. Each per-axis
+// offset is a difference to the box face that no point's difference
+// undercuts (rounding is monotone, and every face is some point's
+// coordinate), and the sum has the shape of scanBucket's distance pass,
+// so the bound never exceeds the distance scanBucket computes for any
+// point of the box.
+func (b *bbox) distSq(qx, qy, qz float64) float64 {
+	var dx, dy, dz float64
+	if qx < b[0] {
+		dx = b[0] - qx
+	} else if qx > b[3] {
+		dx = qx - b[3]
+	}
+	if qy < b[1] {
+		dy = b[1] - qy
+	} else if qy > b[4] {
+		dy = qy - b[4]
+	}
+	if qz < b[2] {
+		dz = b[2] - qz
+	} else if qz > b[5] {
+		dz = qz - b[5]
+	}
+	return dx*dx + dy*dy + dz*dz
+}
+
+// spanBox returns the box of the arena slots [lo, hi).
+func (t *Tree) spanBox(lo, hi int32) bbox {
+	b := emptyBox
+	b.extend(t.arenaX[lo:hi], t.arenaY[lo:hi], t.arenaZ[lo:hi])
+	return b
+}
 
 // Config controls tree construction.
 type Config struct {
@@ -154,6 +226,16 @@ type Tree struct {
 	arenaIdx  []int32
 	arenaHole int
 
+	// boxes holds each bucket slot's tight bounding box, parallel to
+	// buckets: the exact per-axis min and max of the span's points, so
+	// the exact search can skip a bucket its k-th distance cannot reach
+	// (search.go). Every write of a span maintains its box from the
+	// points written (bucketAppend, scatterBucket, fillBucket, ReadFrom);
+	// moving a span (growBucket, CompactArena) leaves it unchanged.
+	// Invariant (docs/invariants.md): a live bucket's box equals its
+	// span's min and max; a dead or empty bucket holds emptyBox.
+	boxes []bbox
+
 	// lastIngest is the phase-timing breakdown of the most recent
 	// mutation operation (LastIngest); reb is the rebalance pass's
 	// reusable scratch (update.go). Neither is part of the tree's
@@ -242,8 +324,33 @@ func (t *Tree) bucketAppend(id int32, p geom.Point, ref int32) {
 		t.growBucket(id)
 		b = &t.buckets[id]
 	}
-	t.arenaSet(b.off+b.n, p, ref)
+	i := b.off + b.n
+	t.arenaSet(i, p, ref)
 	b.n++
+	t.boxes[id].extend(t.arenaX[i:i+1], t.arenaY[i:i+1], t.arenaZ[i:i+1])
+}
+
+// fillBucket writes pts (with reference indices idxs) into a fresh
+// exact-size span at the arena tail as bucket id's whole content, and
+// sets the bucket's box over them.
+func (t *Tree) fillBucket(id int32, pts []geom.Point, idxs []int32) {
+	n := int32(len(pts))
+	off := t.arenaReserve(n)
+	for i := int32(0); i < n; i++ {
+		t.arenaSet(off+i, pts[i], idxs[i])
+	}
+	bk := &t.buckets[id]
+	bk.off, bk.n, bk.cap = off, n, n
+	t.boxes[id] = t.spanBox(off, off+n)
+}
+
+// retireBucket frees bucket id's slot: its span becomes a hole and its
+// box empties. The caller pushes id onto the free list.
+func (t *Tree) retireBucket(id int32) {
+	t.arenaHole += int(t.buckets[id].cap)
+	t.buckets[id] = Bucket{}
+	t.boxes[id] = emptyBox
+	t.liveBuckets--
 }
 
 // growBucket relocates bucket id's span to the arena tail with at least
@@ -361,9 +468,11 @@ func (t *Tree) bucket(leaf int32) int32 {
 		idx := t.freeBuckets[n-1]
 		t.freeBuckets = t.freeBuckets[:n-1]
 		t.buckets[idx] = Bucket{Leaf: leaf, live: true}
+		t.boxes[idx] = emptyBox
 		return idx
 	}
 	t.buckets = append(t.buckets, Bucket{Leaf: leaf, live: true})
+	t.boxes = append(t.boxes, emptyBox)
 	return int32(len(t.buckets) - 1)
 }
 
@@ -467,6 +576,7 @@ func (t *Tree) Clone() *Tree {
 		freeNodes:   append([]int32(nil), t.freeNodes...),
 		freeBuckets: append([]int32(nil), t.freeBuckets...),
 		buckets:     append([]Bucket(nil), t.buckets...),
+		boxes:       append([]bbox(nil), t.boxes...),
 		arenaHole:   t.arenaHole,
 	}
 	// Start from t's planes and copy them out into exact-size arrays.
@@ -477,9 +587,10 @@ func (t *Tree) Clone() *Tree {
 }
 
 // Validate checks structural invariants: link symmetry, every leaf has a
-// live bucket, every internal node has two children, bucket back-links
-// match. It returns an error describing the first violation. Tests and the
-// incremental updater call it after mutations.
+// live bucket, every internal node has two children and a split axis in
+// range, bucket back-links match, and the arena and its boxes are
+// consistent. It returns an error describing the first violation. Tests
+// and the incremental updater call it after mutations.
 func (t *Tree) Validate() error {
 	if t.root == nilIdx {
 		return fmt.Errorf("kdtree: no root")
@@ -525,6 +636,9 @@ func (t *Tree) Validate() error {
 		}
 		if nd.Left == nilIdx || nd.Right == nilIdx {
 			return fmt.Errorf("kdtree: internal node %d missing a child", idx)
+		}
+		if nd.Axis >= geom.Dims {
+			return fmt.Errorf("kdtree: internal node %d splits on axis %d", idx, nd.Axis)
 		}
 		if err := walk(nd.Left, idx); err != nil {
 			return err
@@ -581,6 +695,27 @@ func (t *Tree) validateArena() error {
 	if liveCap+t.arenaHole != n {
 		return fmt.Errorf("kdtree: arena accounting broken: live cap %d + holes %d != arena %d",
 			liveCap, t.arenaHole, n)
+	}
+	return t.validateBoxes()
+}
+
+// validateBoxes checks the box invariant (docs/invariants.md): one box
+// per bucket slot, each live bucket's box equal to its span's exact
+// per-axis min and max, and every dead or empty bucket's box empty. A
+// stale box would let the exact search skip a bucket it must scan.
+func (t *Tree) validateBoxes() error {
+	if len(t.boxes) != len(t.buckets) {
+		return fmt.Errorf("kdtree: %d bucket boxes for %d buckets", len(t.boxes), len(t.buckets))
+	}
+	for i := range t.buckets {
+		b := &t.buckets[i]
+		want := emptyBox
+		if b.live {
+			want = t.spanBox(b.off, b.off+b.n)
+		}
+		if t.boxes[i] != want {
+			return fmt.Errorf("kdtree: bucket %d box %v, want %v", i, t.boxes[i], want)
+		}
 	}
 	return nil
 }

@@ -305,9 +305,7 @@ func (t *Tree) collectDeferred(idx int32, freed *freedSet, keepRoot bool) {
 	if nd.Leaf() {
 		r.pts = t.AppendBucketPoints(r.pts, nd.Bucket)
 		r.idxs = append(r.idxs, t.BucketIndices(nd.Bucket)...)
-		t.arenaHole += int(t.buckets[nd.Bucket].cap)
-		t.buckets[nd.Bucket] = Bucket{}
-		t.liveBuckets--
+		t.retireBucket(nd.Bucket)
 		r.freedBuckets = append(r.freedBuckets, nd.Bucket)
 	} else {
 		t.collectDeferred(nd.Left, freed, false)
@@ -385,13 +383,7 @@ func (t *Tree) commitStaged(tk *rebTask, si, idx int32, freed *freedSet, res *Up
 	if sn.leaf {
 		b := t.bucket(idx)
 		t.nodes[idx].Bucket = b
-		n := sn.hi - sn.lo
-		off := t.arenaReserve(n)
-		for i := int32(0); i < n; i++ {
-			t.arenaSet(off+i, t.reb.pts[sn.lo+i], t.reb.idxs[sn.lo+i])
-		}
-		bk := &t.buckets[b]
-		bk.off, bk.n, bk.cap = off, n, n
+		t.fillBucket(b, t.reb.pts[sn.lo:sn.hi], t.reb.idxs[sn.lo:sn.hi])
 		return
 	}
 	left := t.node()
