@@ -120,11 +120,11 @@ trace-demo:
 
 ## serve-demo: end-to-end serving smoke — quicknnd binds a loopback
 ## port, ingests synthetic frames, answers batched searches in every
-## mode over real HTTP, fetches /debug/quicknn/flightrecorder and
-## /debug/quicknn/slowlog (the selftest asserts both return well-formed
+## mode over real HTTP, fetches /v1/debug/quicknn/flightrecorder and
+## /v1/debug/quicknn/slowlog (the selftest asserts both return well-formed
 ## JSON with the expected records), round-trips a W3C traceparent into
 ## the flight recorder and exemplars, polls /v1/status and /v1/alerts,
-## captures a profiling cycle, and the /metrics scrape must carry the
+## captures a profiling cycle, and the /v1/metrics scrape must carry the
 ## quicknn_serve_*, quicknn_slo_* and quicknn_go_ families
 ## (docs/serving.md, docs/observability.md).
 serve-demo:
@@ -215,8 +215,11 @@ bench-ingest-baseline:
 		-cpu 1 ./internal/kdtree | tee testdata/bench/ingest_baseline.txt
 	@echo "bench-ingest-baseline: OK (testdata/bench/ingest_baseline.txt written)"
 
-## ci: everything the pipeline runs, in order.
-ci: build vet lint test race sanitize fuzz anchors perfbench-smoke trace-demo serve-demo chaos-demo slo-demo
+## ci: everything the pipeline runs, with the pipeline's flags: the
+## benchmark smokes gate on allocations only, as in ci.yml.
+ci: build vet lint lint-syntactic test race sanitize fuzz anchors perfbench-smoke trace-demo serve-demo chaos-demo slo-demo
+	$(MAKE) bench-hot BENCHTIME=100ms MIN_SPEEDUP=0 MAX_OVERHEAD=0
+	$(MAKE) bench-ingest BENCHTIME=100ms INGEST_MIN_SPEEDUP=0
 
 clean:
 	$(GO) clean ./...

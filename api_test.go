@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
+
+	qsim "github.com/quicknn/quicknn/internal/arch/quicknn"
 )
 
 func apiCloud(n int, seed int64) []Point {
@@ -41,66 +44,68 @@ func TestBuildIndexErrors(t *testing.T) {
 	}
 }
 
-func TestNewIndexPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewIndex(nil) did not panic")
-		}
-	}()
-	NewIndex(nil)
-}
-
-// TestQueryMatchesLegacySearch checks each QueryMode returns exactly
-// what the corresponding legacy Search* method returns — the wrappers
-// and the unified path must be the same computation.
-func TestQueryMatchesLegacySearch(t *testing.T) {
-	pts := apiCloud(2000, 3)
-	ix, err := BuildIndex(pts, WithBucketSize(128))
-	if err != nil {
+// TestNonFinitePointsRefused checks that every ingest entry point refuses
+// a NaN, +Inf or -Inf coordinate with ErrInvalidPoint, and that a refused
+// update or frame leaves the index exactly as it was.
+func TestNonFinitePointsRefused(t *testing.T) {
+	ctx := context.Background()
+	pts := apiCloud(600, 20)
+	queries := apiCloud(30, 21)
+	ix := mustIndex(t, pts, WithBucketSize(64))
+	var before bytes.Buffer
+	if _, err := ix.WriteTo(&before); err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	queries := apiCloud(40, 4)
-	for _, q := range queries {
-		for name, pair := range map[string]struct {
-			got  func() ([]Neighbor, error)
-			want func() []Neighbor
-		}{
-			"approx": {
-				func() ([]Neighbor, error) { return ix.Query(ctx, q, QueryOptions{K: 5}) },
-				func() []Neighbor { return ix.Search(q, 5) },
-			},
-			"exact": {
-				func() ([]Neighbor, error) { return ix.Query(ctx, q, QueryOptions{K: 5, Mode: ModeExact}) },
-				func() []Neighbor { return ix.SearchExact(q, 5) },
-			},
-			"checks": {
-				func() ([]Neighbor, error) {
-					return ix.Query(ctx, q, QueryOptions{K: 5, Mode: ModeChecks, Checks: 200})
-				},
-				func() []Neighbor { return ix.SearchChecks(q, 5, 200) },
-			},
-			"radius": {
-				func() ([]Neighbor, error) {
-					return ix.Query(ctx, q, QueryOptions{Mode: ModeRadius, Radius: 3})
-				},
-				func() []Neighbor { return ix.SearchRadius(q, 3) },
-			},
+	exact := QueryOptions{K: 4, Mode: ModeExact}
+	want := mustQueryBatch(t, ix, queries, exact)
+	p := NewPipeline(PipelineConfig{K: 4, Mode: qsim.ModeIncremental})
+	if _, err := p.ProcessCtx(ctx, pts); err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
+		bad := append([]Point(nil), pts...)
+		bad[123].Y = float32(v)
+		var csv, bin bytes.Buffer
+		if err := WriteFrameCSV(&csv, bad); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrameBinary(&bin, bad); err != nil {
+			t.Fatal(err)
+		}
+		_, buildErr := BuildIndex(bad)
+		_, csvErr := ReadFrameCSV(&csv)
+		_, binErr := ReadFrameBinary(&bin)
+		_, pipeErr := p.ProcessCtx(ctx, bad)
+		for entry, err := range map[string]error{
+			"BuildIndex":          buildErr,
+			"Update":              ix.Update(bad),
+			"UpdateStatic":        ix.UpdateStatic(bad),
+			"ReadFrameCSV":        csvErr,
+			"ReadFrameBinary":     binErr,
+			"Pipeline.ProcessCtx": pipeErr,
 		} {
-			got, err := pair.got()
-			if err != nil {
-				t.Fatalf("%s: Query error: %v", name, err)
-			}
-			want := pair.want()
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d neighbors, want %d", name, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s neighbor %d: got %+v, want %+v", name, i, got[i], want[i])
-				}
+			if !errors.Is(err, ErrInvalidPoint) {
+				t.Errorf("%s with a %s coordinate = %v, want ErrInvalidPoint", entry, name, err)
 			}
 		}
+	}
+	var after bytes.Buffer
+	if _, err := ix.WriteTo(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Error("a refused update changed the serialized index")
+	}
+	got := mustQueryBatch(t, ix, queries, exact)
+	for qi := range want {
+		for i := range want[qi] {
+			if got[qi][i] != want[qi][i] {
+				t.Fatalf("query %d neighbor %d after refused updates: %+v, want %+v", qi, i, got[qi][i], want[qi][i])
+			}
+		}
+	}
+	if res, err := p.ProcessCtx(ctx, pts); err != nil || res.FrameIndex != 1 {
+		t.Fatalf("pipeline after refused frames: frame %d, err %v; want frame 1", res.FrameIndex, err)
 	}
 }
 
@@ -152,7 +157,7 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 		t.Fatalf("%d results, want %d", len(batch), len(queries))
 	}
 	for qi, q := range queries {
-		want := ix.Search(q, 4)
+		want := mustQuery(t, ix, q, QueryOptions{K: 4})
 		if len(batch[qi]) != len(want) {
 			t.Fatalf("query %d: %d neighbors, want %d", qi, len(batch[qi]), len(want))
 		}

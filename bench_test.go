@@ -64,27 +64,27 @@ func BenchmarkIndexBuild30k(b *testing.B) {
 	ref, _ := benchFrames(b, 30000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = NewIndex(ref)
+		_ = mustIndex(b, ref)
 	}
 }
 
 func BenchmarkSearchApprox30k(b *testing.B) {
 	ref, qry := SuccessiveFrames(30000, 1)
-	ix := NewIndex(ref)
+	ix := mustIndex(b, ref)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = ix.Search(qry[i%len(qry)], 8)
+		_ = mustQuery(b, ix, qry[i%len(qry)], QueryOptions{K: 8})
 	}
 }
 
 func BenchmarkSearchExact30k(b *testing.B) {
 	ref, qry := SuccessiveFrames(30000, 1)
-	ix := NewIndex(ref)
+	ix := mustIndex(b, ref)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = ix.SearchExact(qry[i%len(qry)], 8)
+		_ = mustQuery(b, ix, qry[i%len(qry)], QueryOptions{K: 8, Mode: ModeExact})
 	}
 }
 
@@ -92,10 +92,10 @@ func BenchmarkSearchFrame30k(b *testing.B) {
 	// The full successive-frame workload: the software equivalent of one
 	// accelerator round.
 	ref, qry := SuccessiveFrames(30000, 1)
-	ix := NewIndex(ref)
+	ix := mustIndex(b, ref)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ix.SearchAll(qry, 8)
+		_ = mustQueryBatch(b, ix, qry, QueryOptions{K: 8, Workers: 1})
 	}
 }
 
@@ -109,7 +109,7 @@ func BenchmarkBruteForce30k(b *testing.B) {
 
 func BenchmarkIncrementalUpdate30k(b *testing.B) {
 	frames := SyntheticFrames(30000, 2, 1)
-	ix := NewIndex(frames[0])
+	ix := mustIndex(b, frames[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ix.Update(frames[1+i%1])
@@ -126,7 +126,7 @@ func BenchmarkSimulateAccelerator8k(b *testing.B) {
 
 func BenchmarkEstimateMotion8k(b *testing.B) {
 	prev, cur := SuccessiveFrames(8000, 1)
-	ix := NewIndex(prev)
+	ix := mustIndex(b, prev)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = EstimateMotion(ix, cur, ICPConfig{Iterations: 10, Subsample: 4})

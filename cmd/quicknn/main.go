@@ -185,7 +185,7 @@ func writeTrace(path string, sink *obs.Sink) error {
 
 // writeFlight dumps the run's per-frame flight records as JSON, newest
 // first, with the ring's bookkeeping alongside — the offline analog of
-// quicknnd's /debug/quicknn/flightrecorder endpoint.
+// quicknnd's /v1/debug/quicknn/flightrecorder endpoint.
 func writeFlight(path string, sink *obs.Sink) error {
 	fr := sink.Fr()
 	dump := struct {

@@ -1,14 +1,14 @@
 // Command quicknnd serves micro-batched kNN search over HTTP.
 //
-// The daemon wraps internal/serve.Engine: POST /frame advances the
-// epoch-snapshot index to the next frame, POST /search answers a query
-// batch against the current epoch, GET /metrics exposes the obs
-// registry in Prometheus text format, and GET /healthz reports
+// The daemon wraps internal/serve.Engine: POST /v1/frame advances the
+// epoch-snapshot index to the next frame, POST /v1/search answers a
+// query batch against the current epoch, GET /v1/metrics exposes the obs
+// registry in Prometheus text format, and GET /v1/readyz reports
 // readiness. See docs/serving.md for the full API.
 //
 // With -selftest the daemon binds 127.0.0.1:0, drives itself through a
 // frame + search + scrape cycle with real HTTP requests, writes the
-// /metrics scrape to -metrics-out, and exits non-zero on any failure —
+// /v1/metrics scrape to -metrics-out, and exits non-zero on any failure —
 // this is the `make serve-demo` entry point.
 package main
 
@@ -50,13 +50,13 @@ func main() {
 		mode       = flag.String("maintenance", "rebuild", "frame maintenance: rebuild|static|incremental")
 		readyFile  = flag.String("ready-file", "", "write the base URL here once listening")
 		selftest   = flag.Bool("selftest", false, "run the built-in HTTP smoke cycle and exit")
-		metricsOut = flag.String("metrics-out", "", "selftest: write the /metrics scrape to this file")
+		metricsOut = flag.String("metrics-out", "", "selftest: write the /v1/metrics scrape to this file")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060); empty = disabled")
 
 		flightSize = flag.Int("flight", 1024, "flight-recorder ring capacity in records (0 = disabled)")
 		slowlog    = flag.Int("slowlog", 64, "slowlog ring capacity for tail-promoted requests (0 = disabled)")
 		tailQ      = flag.Float64("tail-quantile", 0.99, "latency quantile above which requests are promoted to the slowlog")
-		runSample  = flag.Duration("runtime-sample", 0, "background Go runtime stats sampling period (0 = sample at /metrics scrape only)")
+		runSample  = flag.Duration("runtime-sample", 0, "background Go runtime stats sampling period (0 = sample at /v1/metrics scrape only)")
 
 		sloSpec     = flag.String("slo", "", "SLO objectives evaluated in-process, e.g. 'latency:target=5ms,ratio=0.99;errors:ratio=0.999' (docs/observability.md)")
 		sloInterval = flag.Duration("slo-interval", time.Second, "SLO evaluation tick period")
@@ -294,7 +294,7 @@ func parseMaintenance(s string) (serve.Maintenance, error) {
 // startPprof serves net/http/pprof on its own listener with an explicit
 // mux. The profiler is never mounted on the serving mux: operators opt in
 // per deployment with -pprof, bind it to loopback, and a slow profile
-// scrape can never head-of-line-block /search or /frame traffic (see
+// scrape can never head-of-line-block /v1/search or /v1/frame traffic (see
 // docs/serving.md, "Profiling"). Returns the bound address (useful with
 // :0 ports).
 func startPprof(addr string) (string, error) {
@@ -323,16 +323,15 @@ func shutdown(httpSrv *http.Server, engine *serve.Engine) {
 
 // runSelftest drives the running daemon through the full serving cycle
 // with real HTTP requests: readiness gating, frame ingest, batched
-// search in several modes, error taxonomy checks, a /metrics scrape
+// search in several modes, error taxonomy checks, a /v1/metrics scrape
 // asserting the quicknn_serve_* families, the traceparent round trip
 // into the flight recorder, and — when the subsystems are enabled —
 // the /v1/status + /v1/alerts shapes and a continuous-profiling cycle.
 func runSelftest(base, metricsOut string, sloOn bool, profiler *prof.Snapshotter) error {
 	client := &http.Client{Timeout: 10 * time.Second}
 
-	// 1. Before the first frame: liveness is green, readiness refuses
-	// with the no_index envelope (retry hint included), and the legacy
-	// combined /healthz keeps its deprecated 503-until-ready behavior.
+	// 1. Before the first frame: liveness is green, and readiness refuses
+	// with the no_index envelope (retry hint included).
 	if status, _, err := get(client, base+"/v1/healthz"); err != nil {
 		return err
 	} else if status != http.StatusOK {
@@ -352,11 +351,6 @@ func runSelftest(base, metricsOut string, sloOn bool, profiler *prof.Snapshotter
 	if env.Code != "no_index" || env.RetryAfterMS <= 0 {
 		return fmt.Errorf("/v1/readyz envelope = %+v, want code no_index with retry_after_ms > 0", env)
 	}
-	if status, _, err := get(client, base+"/healthz"); err != nil {
-		return err
-	} else if status != http.StatusServiceUnavailable {
-		return fmt.Errorf("legacy /healthz before first frame = %d, want 503", status)
-	}
 	// ... and /v1/search must refuse with the no-index taxonomy (503).
 	if status, _, err := post(client, base+"/v1/search", searchRequest{Queries: [][3]float32{{1, 2, 3}}}); err != nil {
 		return err
@@ -371,19 +365,19 @@ func runSelftest(base, metricsOut string, sloOn bool, profiler *prof.Snapshotter
 		for i, p := range frame {
 			triples[i] = [3]float32{p.X, p.Y, p.Z}
 		}
-		status, body, err := post(client, base+"/frame", frameRequest{Points: triples})
+		status, body, err := post(client, base+"/v1/frame", frameRequest{Points: triples})
 		if err != nil {
 			return err
 		}
 		if status != http.StatusOK {
-			return fmt.Errorf("/frame %d = %d: %s", fi, status, body)
+			return fmt.Errorf("/v1/frame %d = %d: %s", fi, status, body)
 		}
 		var fr frameResponse
 		if err := json.Unmarshal(body, &fr); err != nil {
-			return fmt.Errorf("/frame %d body: %w", fi, err)
+			return fmt.Errorf("/v1/frame %d body: %w", fi, err)
 		}
 		if fr.Epoch != uint64(fi+1) || fr.Points != len(frame) {
-			return fmt.Errorf("/frame %d reply %+v, want epoch %d with %d points", fi, fr, fi+1, len(frame))
+			return fmt.Errorf("/v1/frame %d reply %+v, want epoch %d with %d points", fi, fr, fi+1, len(frame))
 		}
 	}
 
@@ -398,46 +392,31 @@ func runSelftest(base, metricsOut string, sloOn bool, profiler *prof.Snapshotter
 		{Queries: queries, K: 4, Mode: "checks", Checks: 64}, // bounded checks
 		{Queries: queries, Mode: "radius", Radius: 5},        // radius
 	} {
-		status, body, err := post(client, base+"/search", req)
+		status, body, err := post(client, base+"/v1/search", req)
 		if err != nil {
 			return err
 		}
 		if status != http.StatusOK {
-			return fmt.Errorf("/search mode=%q = %d: %s", req.Mode, status, body)
+			return fmt.Errorf("/v1/search mode=%q = %d: %s", req.Mode, status, body)
 		}
 		var sr searchResponse
 		if err := json.Unmarshal(body, &sr); err != nil {
-			return fmt.Errorf("/search mode=%q body: %w", req.Mode, err)
+			return fmt.Errorf("/v1/search mode=%q body: %w", req.Mode, err)
 		}
 		if sr.Epoch != uint64(len(frames)) || len(sr.Results) != len(queries) {
-			return fmt.Errorf("/search mode=%q: epoch %d / %d results, want epoch %d / %d",
+			return fmt.Errorf("/v1/search mode=%q: epoch %d / %d results, want epoch %d / %d",
 				req.Mode, sr.Epoch, len(sr.Results), len(frames), len(queries))
 		}
 		if req.Mode == "" || req.Mode == "exact" {
 			for qi, nbrs := range sr.Results {
 				if len(nbrs) != req.K {
-					return fmt.Errorf("/search mode=%q query %d: %d neighbors, want %d", req.Mode, qi, len(nbrs), req.K)
+					return fmt.Errorf("/v1/search mode=%q query %d: %d neighbors, want %d", req.Mode, qi, len(nbrs), req.K)
 				}
 			}
 		}
 	}
 
-	// 4a. The legacy unversioned alias answers byte-identical success
-	// bodies to /v1 (the alias is the same handler; this pins it).
-	compatReq := searchRequest{Queries: queries[:4], K: 3}
-	_, legacyBody, err := post(client, base+"/search", compatReq)
-	if err != nil {
-		return err
-	}
-	_, v1Body, err := post(client, base+"/v1/search", compatReq)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(legacyBody, v1Body) {
-		return fmt.Errorf("legacy /search body diverged from /v1/search:\n%s\nvs\n%s", legacyBody, v1Body)
-	}
-
-	// 4b. Error taxonomy: a bad mode must map to 400 with the envelope
+	// 4. Error taxonomy: a bad mode must map to 400 with the envelope
 	// code, not 500.
 	badStatus, badBody, err := post(client, base+"/v1/search", searchRequest{Queries: queries, Mode: "psychic"})
 	if err != nil {
@@ -451,8 +430,8 @@ func runSelftest(base, metricsOut string, sloOn bool, profiler *prof.Snapshotter
 		return fmt.Errorf("/v1/search bad mode envelope = %s, want code bad_request", badBody)
 	}
 
-	// 5. Readiness flipped after the first frame, on both /v1/readyz
-	// (reporting the ladder level) and the deprecated combined /healthz.
+	// 5. Readiness flipped after the first frame: /v1/readyz reports the
+	// ladder level.
 	rzStatus2, rzBody2, err := get(client, base+"/v1/readyz")
 	if err != nil {
 		return err
@@ -467,19 +446,14 @@ func runSelftest(base, metricsOut string, sloOn bool, profiler *prof.Snapshotter
 	if rz.Status != "ok" || rz.Epoch != uint64(len(frames)) || rz.QueueCapacity == 0 {
 		return fmt.Errorf("/v1/readyz = %+v, want ok at epoch %d", rz, len(frames))
 	}
-	if status, _, err := get(client, base+"/healthz"); err != nil {
-		return err
-	} else if status != http.StatusOK {
-		return fmt.Errorf("/healthz after frames = %d, want 200", status)
-	}
 
-	// 6. Scrape /metrics and assert the serving families are present.
-	status, scrape, err := get(client, base+"/metrics")
+	// 6. Scrape /v1/metrics and assert the serving families are present.
+	status, scrape, err := get(client, base+"/v1/metrics")
 	if err != nil {
 		return err
 	}
 	if status != http.StatusOK {
-		return fmt.Errorf("/metrics = %d", status)
+		return fmt.Errorf("/v1/metrics = %d", status)
 	}
 	for _, fam := range []string{
 		"quicknn_serve_batch_size",
@@ -489,12 +463,12 @@ func runSelftest(base, metricsOut string, sloOn bool, profiler *prof.Snapshotter
 		"quicknn_serve_frame_build_seconds",
 	} {
 		if !strings.Contains(string(scrape), fam) {
-			return fmt.Errorf("/metrics scrape missing family %s", fam)
+			return fmt.Errorf("/v1/metrics scrape missing family %s", fam)
 		}
 	}
 	// The scrape also samples Go runtime health into the registry.
 	if !strings.Contains(string(scrape), "quicknn_go_heap_alloc_bytes") {
-		return fmt.Errorf("/metrics scrape missing the quicknn_go_ runtime family")
+		return fmt.Errorf("/v1/metrics scrape missing the quicknn_go_ runtime family")
 	}
 	if sloOn {
 		for _, fam := range []string{
@@ -504,7 +478,7 @@ func runSelftest(base, metricsOut string, sloOn bool, profiler *prof.Snapshotter
 			"quicknn_slo_error_budget_remaining",
 		} {
 			if !strings.Contains(string(scrape), fam) {
-				return fmt.Errorf("/metrics scrape missing SLO family %s", fam)
+				return fmt.Errorf("/v1/metrics scrape missing SLO family %s", fam)
 			}
 		}
 	}
@@ -515,12 +489,12 @@ func runSelftest(base, metricsOut string, sloOn bool, profiler *prof.Snapshotter
 	}
 
 	// 7. The OpenMetrics exposition carries exemplars and the EOF marker.
-	status, om, err := get(client, base+"/metrics?exemplars=1")
+	status, om, err := get(client, base+"/v1/metrics?exemplars=1")
 	if err != nil {
 		return err
 	}
 	if status != http.StatusOK {
-		return fmt.Errorf("/metrics?exemplars=1 = %d", status)
+		return fmt.Errorf("/v1/metrics?exemplars=1 = %d", status)
 	}
 	if !strings.HasSuffix(string(om), "# EOF\n") {
 		return fmt.Errorf("OpenMetrics exposition missing the # EOF terminator")
@@ -530,47 +504,47 @@ func runSelftest(base, metricsOut string, sloOn bool, profiler *prof.Snapshotter
 	}
 
 	// 8. The flight recorder saw every search request this selftest made.
-	status, body, err := get(client, base+"/debug/quicknn/flightrecorder")
+	status, body, err := get(client, base+"/v1/debug/quicknn/flightrecorder")
 	if err != nil {
 		return err
 	}
 	if status != http.StatusOK {
-		return fmt.Errorf("/debug/quicknn/flightrecorder = %d", status)
+		return fmt.Errorf("/v1/debug/quicknn/flightrecorder = %d", status)
 	}
 	var fl flightResponse
 	if err := json.Unmarshal(body, &fl); err != nil {
-		return fmt.Errorf("/debug/quicknn/flightrecorder body: %w", err)
+		return fmt.Errorf("/v1/debug/quicknn/flightrecorder body: %w", err)
 	}
 	if fl.Capacity == 0 || fl.Total < 4 || len(fl.Records) < 4 {
-		return fmt.Errorf("/debug/quicknn/flightrecorder = capacity %d, total %d, %d records; want >=4 records",
+		return fmt.Errorf("/v1/debug/quicknn/flightrecorder = capacity %d, total %d, %d records; want >=4 records",
 			fl.Capacity, fl.Total, len(fl.Records))
 	}
 	for i, rec := range fl.Records {
 		if rec.ID == 0 || rec.Queries == 0 || rec.Epoch == 0 || rec.Total <= 0 {
-			return fmt.Errorf("/debug/quicknn/flightrecorder record %d malformed: %+v", i, rec)
+			return fmt.Errorf("/v1/debug/quicknn/flightrecorder record %d malformed: %+v", i, rec)
 		}
 	}
 
 	// 9. The slowlog endpoint reports the tail sampler's state.
-	status, body, err = get(client, base+"/debug/quicknn/slowlog")
+	status, body, err = get(client, base+"/v1/debug/quicknn/slowlog")
 	if err != nil {
 		return err
 	}
 	if status != http.StatusOK {
-		return fmt.Errorf("/debug/quicknn/slowlog = %d", status)
+		return fmt.Errorf("/v1/debug/quicknn/slowlog = %d", status)
 	}
 	var sl slowlogResponse
 	if err := json.Unmarshal(body, &sl); err != nil {
-		return fmt.Errorf("/debug/quicknn/slowlog body: %w", err)
+		return fmt.Errorf("/v1/debug/quicknn/slowlog body: %w", err)
 	}
 	if sl.TailQuantile != 0.99 {
-		return fmt.Errorf("/debug/quicknn/slowlog tail_quantile = %v, want 0.99", sl.TailQuantile)
+		return fmt.Errorf("/v1/debug/quicknn/slowlog tail_quantile = %v, want 0.99", sl.TailQuantile)
 	}
 	if sl.TailEstimateSeconds <= 0 {
-		return fmt.Errorf("/debug/quicknn/slowlog tail estimate never seeded")
+		return fmt.Errorf("/v1/debug/quicknn/slowlog tail estimate never seeded")
 	}
 	if sl.Records == nil {
-		return fmt.Errorf("/debug/quicknn/slowlog records must be an array, not null")
+		return fmt.Errorf("/v1/debug/quicknn/slowlog records must be an array, not null")
 	}
 
 	// 10. Traceparent round trip: a traced search must echo the caller's
@@ -617,12 +591,12 @@ func runSelftest(base, metricsOut string, sloOn bool, profiler *prof.Snapshotter
 		return fmt.Errorf("record id %d != echoed span id %d (the response span must be the engine request id)",
 			tfl.Records[0].ID, echoSpan)
 	}
-	status, om, err = get(client, base+"/metrics?exemplars=1")
+	status, om, err = get(client, base+"/v1/metrics?exemplars=1")
 	if err != nil {
 		return err
 	}
 	if status != http.StatusOK {
-		return fmt.Errorf("/metrics?exemplars=1 = %d", status)
+		return fmt.Errorf("/v1/metrics?exemplars=1 = %d", status)
 	}
 	if !strings.Contains(string(om), `trace_id="a3ce929d0e0e4736"`) {
 		return fmt.Errorf("no latency exemplar carries the traced request's trace_id")
@@ -714,15 +688,15 @@ func runSelftest(base, metricsOut string, sloOn bool, profiler *prof.Snapshotter
 		// Refresh the metrics-out artifact so it carries the
 		// quicknn_prof_* capture counters the cycle just bumped.
 		if metricsOut != "" {
-			status, scrape, err := get(client, base+"/metrics")
+			status, scrape, err := get(client, base+"/v1/metrics")
 			if err != nil {
 				return err
 			}
 			if status != http.StatusOK {
-				return fmt.Errorf("/metrics after capture = %d", status)
+				return fmt.Errorf("/v1/metrics after capture = %d", status)
 			}
 			if !strings.Contains(string(scrape), "quicknn_prof_captures_total") {
-				return fmt.Errorf("/metrics scrape missing family quicknn_prof_captures_total")
+				return fmt.Errorf("/v1/metrics scrape missing family quicknn_prof_captures_total")
 			}
 			if err := os.WriteFile(metricsOut, scrape, 0o644); err != nil {
 				return fmt.Errorf("metrics-out: %w", err)

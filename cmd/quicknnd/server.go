@@ -47,11 +47,7 @@ import (
 //
 // Every non-2xx reply is the structured error envelope (errorResponse):
 // a machine-branchable code, the live retry hint on 503s, and the
-// current epoch. The legacy unversioned paths (/frame, /search,
-// /metrics, /debug/quicknn/*) are thin aliases of the same handlers and
-// answer byte-compatible success bodies; legacy /healthz keeps its
-// pre-/v1 combined liveness+readiness behavior. All legacy paths are
-// deprecated (docs/serving.md).
+// current epoch.
 //
 // See docs/serving.md for the request/response schemas and the error
 // taxonomy → (status, code) mapping, docs/robustness.md for the degrade
@@ -111,8 +107,7 @@ type neighborJSON struct {
 
 // searchResponse is the /v1/search reply. The degrade fields appear only
 // when the admission controller stamped a non-zero ladder level on the
-// request, so full-fidelity replies stay byte-compatible with the legacy
-// body shape.
+// request, so full-fidelity replies keep the undegraded body shape.
 type searchResponse struct {
 	Epoch   uint64           `json:"epoch"`
 	Results [][]neighborJSON `json:"results"`
@@ -127,9 +122,8 @@ type searchResponse struct {
 // Code is the machine-branchable taxonomy key (see codeFor);
 // retry_after_ms is present on every 503 and mirrors the Retry-After
 // header with millisecond precision; epoch is the current epoch id
-// (omitted before the first frame). The bare-`error` legacy shape is
-// deprecated — this envelope is a superset, so legacy clients parsing
-// only `error` keep working.
+// (omitted before the first frame). The envelope is a superset of a
+// bare `error` body, so clients parsing only `error` keep working.
 type errorResponse struct {
 	Error        string `json:"error"`
 	Code         string `json:"code,omitempty"`
@@ -231,23 +225,15 @@ type readyzResponse struct {
 
 func (s *server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
-	// /v1 is the versioned wire API; the unversioned paths are thin
-	// aliases of the same handlers, kept for legacy clients (deprecated,
-	// docs/serving.md).
-	for _, prefix := range []string{"/v1", ""} {
-		mux.HandleFunc(prefix+"/frame", s.handleFrame)
-		mux.HandleFunc(prefix+"/search", s.handleSearch)
-		mux.HandleFunc(prefix+"/metrics", s.handleMetrics)
-		mux.HandleFunc(prefix+"/debug/quicknn/flightrecorder", s.handleFlightRecorder)
-		mux.HandleFunc(prefix+"/debug/quicknn/slowlog", s.handleSlowLog)
-	}
+	mux.HandleFunc("/v1/frame", s.handleFrame)
+	mux.HandleFunc("/v1/search", s.handleSearch)
+	mux.HandleFunc("/v1/metrics", s.handleMetrics)
+	mux.HandleFunc("/v1/debug/quicknn/flightrecorder", s.handleFlightRecorder)
+	mux.HandleFunc("/v1/debug/quicknn/slowlog", s.handleSlowLog)
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/readyz", s.handleReadyz)
 	mux.HandleFunc("/v1/status", s.handleStatus)
 	mux.HandleFunc("/v1/alerts", s.handleAlerts)
-	// Legacy /healthz predates the liveness/readiness split and keeps
-	// its combined behavior (503 until the first frame) byte-for-byte.
-	mux.HandleFunc("/healthz", s.handleLegacyHealthz)
 	return mux
 }
 
@@ -280,7 +266,7 @@ func codeFor(err error) (int, string) {
 		return 499, "canceled" // client closed request (nginx convention)
 	case errors.Is(err, quicknn.ErrEmptyInput):
 		return http.StatusBadRequest, "empty_input"
-	case errors.Is(err, quicknn.ErrInvalidOptions):
+	case errors.Is(err, quicknn.ErrInvalidOptions), errors.Is(err, quicknn.ErrInvalidPoint):
 		return http.StatusBadRequest, "bad_request"
 	case errors.Is(err, quicknn.ErrCorruptIndex):
 		return http.StatusInternalServerError, "corrupt_index"
@@ -587,14 +573,4 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:    depth,
 		QueueCapacity: capacity,
 	})
-}
-
-// handleLegacyHealthz preserves the deprecated pre-/v1 combined check:
-// 503 until the first frame, then 200 with the epoch.
-func (s *server) handleLegacyHealthz(w http.ResponseWriter, r *http.Request) {
-	if epoch := s.engine.Epoch(); epoch > 0 {
-		writeJSON(w, http.StatusOK, map[string]interface{}{"status": "ok", "epoch": epoch})
-		return
-	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{"status": "no-index"})
 }

@@ -49,9 +49,9 @@ func ingestFrame(t *testing.T, ts *httptest.Server, n int, tag float32) frameRes
 	for i := range pts {
 		pts[i] = [3]float32{float32(i % 97), float32(i % 89), tag}
 	}
-	resp, body := postJSON(t, ts.URL+"/frame", frameRequest{Points: pts})
+	resp, body := postJSON(t, ts.URL+"/v1/frame", frameRequest{Points: pts})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/frame = %d: %s", resp.StatusCode, body)
+		t.Fatalf("/v1/frame = %d: %s", resp.StatusCode, body)
 	}
 	var fr frameResponse
 	if err := json.Unmarshal(body, &fr); err != nil {
@@ -60,24 +60,30 @@ func ingestFrame(t *testing.T, ts *httptest.Server, n int, tag float32) frameRes
 	return fr
 }
 
+// TestHealthzGatesOnFirstFrame checks that readiness (/v1/readyz) gates
+// on the first frame while liveness (/v1/healthz) never does.
 func TestHealthzGatesOnFirstFrame(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatalf("GET /healthz: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/healthz before first frame = %d, want 503", resp.StatusCode)
-	}
-	ingestFrame(t, ts, 500, 1)
-	resp, err = http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatalf("GET /healthz: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/healthz after first frame = %d, want 200", resp.StatusCode)
+	for _, step := range []struct {
+		frame          bool
+		healthz, ready int
+	}{
+		{false, http.StatusOK, http.StatusServiceUnavailable},
+		{true, http.StatusOK, http.StatusOK},
+	} {
+		if step.frame {
+			ingestFrame(t, ts, 500, 1)
+		}
+		for path, want := range map[string]int{"/v1/healthz": step.healthz, "/v1/readyz": step.ready} {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatalf("GET %s: %v", path, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Fatalf("%s (after frame: %v) = %d, want %d", path, step.frame, resp.StatusCode, want)
+			}
+		}
 	}
 }
 
@@ -87,13 +93,13 @@ func TestFrameThenSearchRoundTrip(t *testing.T) {
 	if fr.Epoch != 1 || fr.Points != 800 {
 		t.Fatalf("frame response %+v, want epoch 1 with 800 points", fr)
 	}
-	resp, body := postJSON(t, ts.URL+"/search", searchRequest{
+	resp, body := postJSON(t, ts.URL+"/v1/search", searchRequest{
 		Queries: [][3]float32{{1, 2, 3}, {50, 40, 3}},
 		K:       4,
 		Mode:    "exact",
 	})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/search = %d: %s", resp.StatusCode, body)
+		t.Fatalf("/v1/search = %d: %s", resp.StatusCode, body)
 	}
 	var sr searchResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
@@ -116,9 +122,9 @@ func TestFrameThenSearchRoundTrip(t *testing.T) {
 
 func TestSearchBeforeFrameIsUnavailable(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/search", searchRequest{Queries: [][3]float32{{1, 1, 1}}})
+	resp, body := postJSON(t, ts.URL+"/v1/search", searchRequest{Queries: [][3]float32{{1, 1, 1}}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/search before frame = %d (%s), want 503", resp.StatusCode, body)
+		t.Fatalf("/v1/search before frame = %d (%s), want 503", resp.StatusCode, body)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("503 response missing Retry-After header")
@@ -132,9 +138,9 @@ func TestBadRequestsMapTo400(t *testing.T) {
 		"unknown mode": {Queries: [][3]float32{{1, 1, 1}}, Mode: "psychic"},
 		"negative k":   {Queries: [][3]float32{{1, 1, 1}}, K: -2},
 	} {
-		resp, body := postJSON(t, ts.URL+"/search", req)
+		resp, body := postJSON(t, ts.URL+"/v1/search", req)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: /search = %d (%s), want 400", name, resp.StatusCode, body)
+			t.Errorf("%s: /v1/search = %d (%s), want 400", name, resp.StatusCode, body)
 		}
 		var er errorResponse
 		if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
@@ -142,24 +148,24 @@ func TestBadRequestsMapTo400(t *testing.T) {
 		}
 	}
 	// Malformed JSON bodies are 400 too.
-	resp, err := http.Post(ts.URL+"/frame", "application/json", bytes.NewReader([]byte("{nope")))
+	resp, err := http.Post(ts.URL+"/v1/frame", "application/json", bytes.NewReader([]byte("{nope")))
 	if err != nil {
-		t.Fatalf("POST /frame: %v", err)
+		t.Fatalf("POST /v1/frame: %v", err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed /frame body = %d, want 400", resp.StatusCode)
+		t.Errorf("malformed /v1/frame body = %d, want 400", resp.StatusCode)
 	}
 	// Empty frames surface the typed empty-input error as 400.
-	resp2, body := postJSON(t, ts.URL+"/frame", frameRequest{})
+	resp2, body := postJSON(t, ts.URL+"/v1/frame", frameRequest{})
 	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty /frame = %d (%s), want 400", resp2.StatusCode, body)
+		t.Errorf("empty /v1/frame = %d (%s), want 400", resp2.StatusCode, body)
 	}
 }
 
 func TestMethodNotAllowed(t *testing.T) {
 	_, ts := newTestServer(t)
-	for _, path := range []string{"/frame", "/search"} {
+	for _, path := range []string{"/v1/frame", "/v1/search"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
@@ -174,10 +180,10 @@ func TestMethodNotAllowed(t *testing.T) {
 func TestMetricsExposition(t *testing.T) {
 	_, ts := newTestServer(t)
 	ingestFrame(t, ts, 400, 1)
-	postJSON(t, ts.URL+"/search", searchRequest{Queries: [][3]float32{{1, 1, 1}}, K: 2})
-	resp, err := http.Get(ts.URL + "/metrics")
+	postJSON(t, ts.URL+"/v1/search", searchRequest{Queries: [][3]float32{{1, 1, 1}}, K: 2})
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
+		t.Fatalf("GET /v1/metrics: %v", err)
 	}
 	defer resp.Body.Close()
 	var buf bytes.Buffer
@@ -193,7 +199,7 @@ func TestMetricsExposition(t *testing.T) {
 		"quicknn_serve_epoch_live",
 	} {
 		if !bytes.Contains(buf.Bytes(), []byte(fam)) {
-			t.Errorf("/metrics scrape missing family %s", fam)
+			t.Errorf("/v1/metrics scrape missing family %s", fam)
 		}
 	}
 }
@@ -201,26 +207,26 @@ func TestMetricsExposition(t *testing.T) {
 func TestMetricsRuntimeAndExemplars(t *testing.T) {
 	_, ts := newTestServer(t)
 	ingestFrame(t, ts, 400, 1)
-	postJSON(t, ts.URL+"/search", searchRequest{Queries: [][3]float32{{1, 1, 1}}, K: 2})
+	postJSON(t, ts.URL+"/v1/search", searchRequest{Queries: [][3]float32{{1, 1, 1}}, K: 2})
 
 	// Plain scrape: runtime gauges sampled at scrape time.
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
+		t.Fatalf("GET /v1/metrics: %v", err)
 	}
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
 	resp.Body.Close()
 	for _, fam := range []string{"quicknn_go_heap_alloc_bytes", "quicknn_go_goroutines", "quicknn_go_gc_total"} {
 		if !bytes.Contains(buf.Bytes(), []byte(fam)) {
-			t.Errorf("/metrics scrape missing runtime gauge %s", fam)
+			t.Errorf("/v1/metrics scrape missing runtime gauge %s", fam)
 		}
 	}
 
 	// OpenMetrics scrape: exemplars plus the EOF terminator.
-	resp, err = http.Get(ts.URL + "/metrics?exemplars=1")
+	resp, err = http.Get(ts.URL + "/v1/metrics?exemplars=1")
 	if err != nil {
-		t.Fatalf("GET /metrics?exemplars=1: %v", err)
+		t.Fatalf("GET /v1/metrics?exemplars=1: %v", err)
 	}
 	buf.Reset()
 	buf.ReadFrom(resp.Body)
@@ -240,10 +246,10 @@ func TestDebugFlightRecorderEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	ingestFrame(t, ts, 500, 2)
 	for i := 0; i < 3; i++ {
-		postJSON(t, ts.URL+"/search", searchRequest{Queries: [][3]float32{{1, 1, 2}, {5, 5, 2}}, K: 3})
+		postJSON(t, ts.URL+"/v1/search", searchRequest{Queries: [][3]float32{{1, 1, 2}, {5, 5, 2}}, K: 3})
 	}
 
-	resp, err := http.Get(ts.URL + "/debug/quicknn/flightrecorder")
+	resp, err := http.Get(ts.URL + "/v1/debug/quicknn/flightrecorder")
 	if err != nil {
 		t.Fatalf("GET flightrecorder: %v", err)
 	}
@@ -273,9 +279,9 @@ func TestDebugFlightRecorderEndpoint(t *testing.T) {
 func TestDebugSlowLogEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
 	ingestFrame(t, ts, 300, 1)
-	postJSON(t, ts.URL+"/search", searchRequest{Queries: [][3]float32{{1, 1, 1}}, K: 2})
+	postJSON(t, ts.URL+"/v1/search", searchRequest{Queries: [][3]float32{{1, 1, 1}}, K: 2})
 
-	resp, err := http.Get(ts.URL + "/debug/quicknn/slowlog")
+	resp, err := http.Get(ts.URL + "/v1/debug/quicknn/slowlog")
 	if err != nil {
 		t.Fatalf("GET slowlog: %v", err)
 	}

@@ -56,6 +56,10 @@ func TestV1ErrorTaxonomyContract(t *testing.T) {
 			t.Errorf("statusFor(%v) = %d, want %d", tc.err, got, tc.status)
 		}
 	}
+	// A non-finite point is a malformed request, like a bad option.
+	if status, code := codeFor(fmt.Errorf("advance: %w", quicknn.ErrInvalidPoint)); status != http.StatusBadRequest || code != "bad_request" {
+		t.Errorf(`codeFor(ErrInvalidPoint) = (%d, %q), want (400, "bad_request")`, status, code)
+	}
 	// Anything outside the taxonomy is an opaque 500.
 	if status, code := codeFor(fmt.Errorf("novel failure")); status != http.StatusInternalServerError || code != "internal" {
 		t.Errorf(`codeFor(unknown) = (%d, %q), want (500, "internal")`, status, code)
@@ -143,36 +147,9 @@ func TestV1EnvelopeOnTheWire(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasesAnswerIdenticalBytes pins the deprecation contract:
-// the unversioned paths are the same handlers, so success bodies are
-// byte-for-byte identical to their /v1 twins.
-func TestLegacyAliasesAnswerIdenticalBytes(t *testing.T) {
-	_, ts := newTestServer(t)
-	ingestFrame(t, ts, 600, 4)
-
-	search := searchRequest{Queries: [][3]float32{{1, 2, 4}, {30, 20, 4}}, K: 5, Mode: "exact"}
-	legacyResp, legacyBody := postJSON(t, ts.URL+"/search", search)
-	v1Resp, v1Body := postJSON(t, ts.URL+"/v1/search", search)
-	if legacyResp.StatusCode != http.StatusOK || v1Resp.StatusCode != http.StatusOK {
-		t.Fatalf("search = legacy %d / v1 %d, want 200 for both", legacyResp.StatusCode, v1Resp.StatusCode)
-	}
-	if !bytes.Equal(legacyBody, v1Body) {
-		t.Errorf("search bodies differ:\nlegacy %s\n   /v1 %s", legacyBody, v1Body)
-	}
-
-	// Debug endpoints (no traffic in between): identical snapshots.
-	for _, path := range []string{"/debug/quicknn/flightrecorder", "/debug/quicknn/slowlog"} {
-		legacy := getBody(t, ts.URL+path)
-		v1 := getBody(t, ts.URL+"/v1"+path)
-		if !bytes.Equal(legacy, v1) {
-			t.Errorf("%s bodies differ:\nlegacy %s\n   /v1 %s", path, legacy, v1)
-		}
-	}
-}
-
 // TestHealthSplit pins the liveness/readiness split: /v1/healthz is 200
 // from process start, /v1/readyz refuses with a branchable reason until
-// the first frame, and legacy /healthz keeps the combined behavior.
+// the first frame.
 func TestHealthSplit(t *testing.T) {
 	_, ts := newTestServer(t)
 
@@ -194,9 +171,6 @@ func TestHealthSplit(t *testing.T) {
 	if env.RetryAfterMS <= 0 {
 		t.Error("readyz 503 missing retry_after_ms")
 	}
-	if resp := mustGet(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("legacy /healthz before frame = %d, want 503 (combined semantics)", resp.StatusCode)
-	}
 
 	ingestFrame(t, ts, 300, 1)
 
@@ -215,24 +189,6 @@ func TestHealthSplit(t *testing.T) {
 	if rz.Status != "ok" || rz.Epoch != 1 || rz.DegradeLevel != 0 || rz.Degrade != "none" || rz.QueueCapacity == 0 {
 		t.Errorf("readyz body = %+v, want ok/epoch 1/level 0 with a queue bound", rz)
 	}
-	if resp := mustGet(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /healthz after frame = %d, want 200", resp.StatusCode)
-	}
-}
-
-// getBody GETs a URL and returns the body bytes.
-func getBody(t *testing.T, url string) []byte {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatalf("read %s: %v", url, err)
-	}
-	return buf.Bytes()
 }
 
 // mustGet GETs a URL, closes the body, and returns the response.
@@ -244,4 +200,37 @@ func mustGet(t *testing.T, url string) *http.Response {
 	}
 	resp.Body.Close()
 	return resp
+}
+
+// TestOnlyV1Routes pins the wire surface to /v1: the unversioned paths
+// the daemon once served as aliases are not found.
+func TestOnlyV1Routes(t *testing.T) {
+	_, ts := newTestServer(t)
+	ingestFrame(t, ts, 300, 1)
+	for _, path := range []string{"/frame", "/search", "/metrics", "/healthz",
+		"/debug/quicknn/flightrecorder", "/debug/quicknn/slowlog"} {
+		if resp := mustGet(t, ts.URL+path); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestFrameRejectsFloat32Overflow pins that a coordinate beyond float32
+// range is refused with the bad_request envelope, never ingested as an
+// infinity.
+func TestFrameRejectsFloat32Overflow(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, err := http.Post(ts.URL+"/v1/frame", "application/json",
+		bytes.NewReader([]byte(`{"points":[[1,2,3],[1e39,0,0]]}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("envelope: %v", err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || env.Code != "bad_request" {
+		t.Fatalf("/v1/frame with 1e39 = (%d, %q), want (400, bad_request)", resp.StatusCode, env.Code)
+	}
 }

@@ -1,16 +1,24 @@
 package quicknn_test
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"github.com/quicknn/quicknn"
 )
 
 // The basic flow: index a reference frame, search a query frame.
-func ExampleNewIndex() {
+func ExampleBuildIndex() {
 	reference, query := quicknn.SuccessiveFrames(5000, 1)
-	index := quicknn.NewIndex(reference, quicknn.WithBucketSize(256))
-	results := index.SearchAll(query, 8)
+	index, err := quicknn.BuildIndex(reference, quicknn.WithBucketSize(256))
+	if err != nil {
+		log.Fatal(err)
+	}
+	results, err := index.QueryBatch(context.Background(), query, quicknn.QueryOptions{K: 8})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("queries:", len(results))
 	fmt.Println("neighbors per query:", len(results[0]))
 	fmt.Println("nearest first:", results[0][0].DistSq <= results[0][7].DistSq)
@@ -21,12 +29,22 @@ func ExampleNewIndex() {
 }
 
 // Exact search backtracks; approximate search reads one bucket. Both are
-// available on the same index.
-func ExampleIndex_SearchExact() {
+// modes of Query on the same index.
+func ExampleIndex_Query() {
 	reference, query := quicknn.SuccessiveFrames(2000, 2)
-	index := quicknn.NewIndex(reference)
-	exact := index.SearchExact(query[0], 3)
-	approx := index.Search(query[0], 3)
+	index, err := quicknn.BuildIndex(reference)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
+	exact, err := index.Query(ctx, query[0], quicknn.QueryOptions{K: 3, Mode: quicknn.ModeExact})
+	if err != nil {
+		log.Fatal(err)
+	}
+	approx, err := index.Query(ctx, query[0], quicknn.QueryOptions{K: 3})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("exact is never farther:", exact[0].DistSq <= approx[0].DistSq)
 	// Output:
 	// exact is never farther: true
@@ -35,9 +53,14 @@ func ExampleIndex_SearchExact() {
 // Incremental update (§4.4) re-balances the tree in place across frames.
 func ExampleIndex_Update() {
 	frames := quicknn.SyntheticFrames(4000, 3, 3)
-	index := quicknn.NewIndex(frames[0])
+	index, err := quicknn.BuildIndex(frames[0])
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, f := range frames[1:] {
-		index.Update(f)
+		if err := index.Update(f); err != nil {
+			log.Fatal(err)
+		}
 	}
 	s := index.Stats()
 	fmt.Println("points:", index.Len())

@@ -6,7 +6,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"math"
 	"sort"
 
@@ -25,13 +27,20 @@ func main() {
 
 	// Compensate ego-motion first: align the current frame onto the
 	// previous one so static structure overlaps.
-	ref := quicknn.NewIndex(prev)
+	ref, err := quicknn.BuildIndex(prev)
+	if err != nil {
+		log.Fatal(err)
+	}
 	motion := quicknn.EstimateMotion(ref, cur, quicknn.ICPConfig{Iterations: 20, Subsample: 2})
 	aligned := motion.Motion.ApplyAll(cur)
 	fmt.Printf("ego-motion compensated: RMSE %.3f m over %d pairs\n", motion.RMSE, motion.Pairs)
 
 	// Successive-frame kNN: distance to the nearest previous-frame point.
-	results := ref.SearchAll(aligned, 1)
+	ctx := context.Background()
+	results, err := ref.QueryBatch(ctx, aligned, quicknn.QueryOptions{K: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
 	var moving []quicknn.Point
 	var dists []float64
 	for i, r := range results {
@@ -52,7 +61,7 @@ func main() {
 
 	// Cluster the flagged points into objects by greedy proximity (a
 	// tiny stand-in for the detection stage that consumes kNN output).
-	clusters := clusterPoints(moving, 1.5)
+	clusters := clusterPoints(ctx, moving, 1.5)
 	sort.Slice(clusters, func(i, j int) bool { return len(clusters[i]) > len(clusters[j]) })
 	fmt.Printf("moving clusters (≥20 points):\n")
 	shown := 0
@@ -74,11 +83,16 @@ func main() {
 
 // clusterPoints greedily groups points within `radius` of a cluster seed,
 // using a k-d index for the range lookups.
-func clusterPoints(pts []quicknn.Point, radius float64) [][]quicknn.Point {
+func clusterPoints(ctx context.Context, pts []quicknn.Point, radius float64) [][]quicknn.Point {
 	if len(pts) == 0 {
 		return nil
 	}
-	ix := quicknn.NewIndex(pts, quicknn.WithBucketSize(64))
+	ix, err := quicknn.BuildIndex(pts, quicknn.WithBucketSize(64))
+	if err != nil {
+		log.Fatal(err)
+	}
+	sc := quicknn.NewScratch()
+	var nbs []quicknn.Neighbor
 	assigned := make([]bool, len(pts))
 	var clusters [][]quicknn.Point
 	for i := range pts {
@@ -91,7 +105,10 @@ func clusterPoints(pts []quicknn.Point, radius float64) [][]quicknn.Point {
 		for len(frontier) > 0 {
 			p := frontier[len(frontier)-1]
 			frontier = frontier[:len(frontier)-1]
-			for _, nb := range ix.Search(p, 16) {
+			if nbs, err = ix.QueryInto(ctx, p, quicknn.QueryOptions{K: 16}, sc, nbs[:0]); err != nil {
+				log.Fatal(err)
+			}
+			for _, nb := range nbs {
 				if !assigned[nb.Index] && math.Sqrt(nb.DistSq) <= radius {
 					assigned[nb.Index] = true
 					cluster = append(cluster, nb.Point)

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 	"math"
 	"time"
 
@@ -31,7 +32,10 @@ func main() {
 	var totalNN time.Duration
 	fmt.Printf("frame  est dx (m)  est yaw (mrad)  RMSE (m)  pairs   NN+fit time\n")
 	for fi := 1; fi < frames; fi++ {
-		ref := quicknn.NewIndex(drive[fi-1])
+		ref, err := quicknn.BuildIndex(drive[fi-1])
+		if err != nil {
+			log.Fatal(err)
+		}
 		start := time.Now()
 		res := quicknn.EstimateMotion(ref, drive[fi], quicknn.ICPConfig{
 			Iterations: 25,

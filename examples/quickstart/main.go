@@ -4,7 +4,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"math"
 	"time"
 
@@ -18,19 +20,30 @@ func main() {
 
 	// Build the bucketed k-d tree over the reference frame.
 	start := time.Now()
-	index := quicknn.NewIndex(reference, quicknn.WithBucketSize(256))
+	index, err := quicknn.BuildIndex(reference, quicknn.WithBucketSize(256))
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("indexed %d points in %v\n", index.Len(), time.Since(start).Round(time.Millisecond))
 
 	// Approximate k-nearest-neighbor search for one query point.
 	const k = 8
+	ctx := context.Background()
 	q := query[0]
-	for i, nb := range index.Search(q, k) {
+	approx, err := index.Query(ctx, q, quicknn.QueryOptions{K: k})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, nb := range approx {
 		fmt.Printf("  neighbor %d: %v at %.3f m\n", i, nb.Point, dist(nb.DistSq))
 	}
 
 	// The whole successive-frame workload: every query point searched.
 	start = time.Now()
-	results := index.SearchAll(query, k)
+	results, err := index.QueryBatch(ctx, query, quicknn.QueryOptions{K: k})
+	if err != nil {
+		log.Fatal(err)
+	}
 	elapsed := time.Since(start)
 	fmt.Printf("searched %d queries in %v (%.1f ms/frame)\n",
 		len(results), elapsed.Round(time.Millisecond), float64(elapsed.Microseconds())/1000)
@@ -41,8 +54,10 @@ func main() {
 		100*report.Top1Recall, 100*report.TopKRecall, report.Queries)
 
 	// Exact search is available when needed (backtracking).
-	exact := index.SearchExact(q, k)
-	approx := index.Search(q, k)
+	exact, err := index.Query(ctx, q, quicknn.QueryOptions{K: k, Mode: quicknn.ModeExact})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("exact vs approximate nearest: %.3f m vs %.3f m\n",
 		dist(exact[0].DistSq), dist(approx[0].DistSq))
 }

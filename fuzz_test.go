@@ -2,12 +2,26 @@ package quicknn
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
 
+// requireFinite fails the test if any accepted point has a NaN or
+// infinite coordinate.
+func requireFinite(t *testing.T, pts []Point) {
+	t.Helper()
+	for i, p := range pts {
+		for _, v := range [3]float64{float64(p.X), float64(p.Y), float64(p.Z)} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted non-finite point %d: %+v", i, p)
+			}
+		}
+	}
+}
+
 // FuzzReadFrameCSV checks the CSV parser never panics and that everything
-// it accepts round-trips through the writer.
+// it accepts is finite and round-trips through the writer.
 func FuzzReadFrameCSV(f *testing.F) {
 	f.Add("1,2,3\n")
 	f.Add("# comment\n\n-1.5,2.25,0.125,99\n")
@@ -19,6 +33,7 @@ func FuzzReadFrameCSV(f *testing.F) {
 		if err != nil {
 			return
 		}
+		requireFinite(t, pts)
 		var buf bytes.Buffer
 		if err := WriteFrameCSV(&buf, pts); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
@@ -34,7 +49,8 @@ func FuzzReadFrameCSV(f *testing.F) {
 }
 
 // FuzzReadFrameBinary checks the binary frame reader is robust against
-// arbitrary input: it must either error or return a well-formed slice.
+// arbitrary input: it must either error or return a well-formed slice of
+// finite points.
 func FuzzReadFrameBinary(f *testing.F) {
 	var seed bytes.Buffer
 	_ = WriteFrameBinary(&seed, []Point{{X: 1, Y: 2, Z: 3}})
@@ -46,6 +62,7 @@ func FuzzReadFrameBinary(f *testing.F) {
 		if err != nil {
 			return
 		}
+		requireFinite(t, pts)
 		var buf bytes.Buffer
 		if err := WriteFrameBinary(&buf, pts); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
@@ -63,7 +80,7 @@ func FuzzReadFrameBinary(f *testing.F) {
 // structurally invalid tree.
 func FuzzLoadIndex(f *testing.F) {
 	ref, _ := SuccessiveFrames(200, 80)
-	ix := NewIndex(ref, WithBucketSize(32))
+	ix := mustIndex(f, ref, WithBucketSize(32))
 	var seed bytes.Buffer
 	_, _ = ix.WriteTo(&seed)
 	f.Add(seed.Bytes())
@@ -81,7 +98,7 @@ func FuzzLoadIndex(f *testing.F) {
 		}
 		if loaded.Len() > 0 {
 			q := loaded.Points()[0]
-			res := loaded.Search(q, 1)
+			res := mustQuery(t, loaded, q, QueryOptions{K: 1})
 			if len(res) == 0 {
 				t.Fatal("accepted index cannot search")
 			}

@@ -1,6 +1,7 @@
 package quicknn
 
 import (
+	"context"
 	"math"
 	"sort"
 )
@@ -56,6 +57,10 @@ func EstimateMotion(ref *Index, query []Point, cfg ICPConfig) ICPResult {
 	total := Transform{}
 	moved := append([]Point(nil), query...)
 	res := ICPResult{}
+	// One scratch and one result buffer serve every match of the call.
+	sc := getQueryScratch()
+	defer putQueryScratch(sc)
+	var nb []Neighbor
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		res.Iterations = iter + 1
 		// Match.
@@ -65,7 +70,8 @@ func EstimateMotion(ref *Index, query []Point, cfg ICPConfig) ICPResult {
 		}
 		var pairs []pair
 		for i := 0; i < len(moved); i += cfg.Subsample {
-			nb := ref.Search(moved[i], cfg.K)
+			// Cannot fail: K > 0 and the context is never cancelled.
+			nb, _ = ref.QueryInto(context.Background(), moved[i], QueryOptions{K: cfg.K}, sc, nb[:0])
 			if len(nb) == 0 {
 				continue
 			}

@@ -1,9 +1,9 @@
 package quicknn
 
 import (
-	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 
 	"github.com/quicknn/quicknn/internal/geom"
@@ -54,19 +54,22 @@ func WithParallelism(n int) Option { return func(o *indexOptions) { o.parallelis
 
 // Index is a bucketed k-d tree over a reference point cloud, the data
 // structure at the heart of QuickNN. It is not safe for concurrent
-// mutation; concurrent Search calls are safe once built.
+// mutation; concurrent Query calls are safe once built.
 type Index struct {
 	tree *kdtree.Tree
 	ref  []Point
 }
 
 // BuildIndex builds an index over the reference points using the paper's
-// two-phase construction. It is the preferred constructor: invalid input
-// is reported as an error (ErrEmptyInput for an empty cloud,
-// ErrInvalidOptions for out-of-domain options) instead of a panic.
+// two-phase construction. Invalid input is reported as an error
+// (ErrEmptyInput for an empty cloud, ErrInvalidPoint for a NaN or
+// infinite coordinate, ErrInvalidOptions for out-of-domain options).
 func BuildIndex(points []Point, opts ...Option) (*Index, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("%w (BuildIndex requires at least one reference point)", ErrEmptyInput)
+	}
+	if err := checkFinite(points); err != nil {
+		return nil, err
 	}
 	o := indexOptions{seed: 1}
 	for _, fn := range opts {
@@ -87,20 +90,6 @@ func BuildIndex(points []Point, opts ...Option) (*Index, error) {
 	return &Index{tree: tree, ref: ref}, nil
 }
 
-// NewIndex builds an index over the reference points using the paper's
-// two-phase construction. It panics if points is empty.
-//
-// Deprecated: use BuildIndex, which reports invalid input as an error
-// instead of panicking. NewIndex is retained as a thin wrapper so
-// existing callers keep compiling.
-func NewIndex(points []Point, opts ...Option) *Index {
-	ix, err := BuildIndex(points, opts...)
-	if err != nil {
-		panic("quicknn: NewIndex: " + err.Error())
-	}
-	return ix
-}
-
 // Snapshot returns a deep, independent copy of the index: searches and
 // updates on either side never observe the other's mutations. The serving
 // engine (internal/serve) snapshots the current index per epoch so that
@@ -115,88 +104,50 @@ func (ix *Index) Len() int { return ix.tree.NumPoints() }
 // Points returns the indexed reference points (do not mutate).
 func (ix *Index) Points() []Point { return ix.ref }
 
-// Search returns up to k approximate nearest neighbors of q, nearest
-// first — the paper's single-bucket approximate search. It is a wrapper
-// over Query with ModeApprox; it panics on invalid k where Query would
-// return ErrInvalidOptions.
-func (ix *Index) Search(q Point, k int) []Neighbor {
-	res, err := ix.Query(context.Background(), q, QueryOptions{K: k})
-	if err != nil {
-		panic("quicknn: Search: " + err.Error())
-	}
-	return res
-}
-
-// SearchExact returns the k exact nearest neighbors using backtracking.
-// It is a wrapper over Query with ModeExact.
-func (ix *Index) SearchExact(q Point, k int) []Neighbor {
-	res, err := ix.Query(context.Background(), q, QueryOptions{K: k, Mode: ModeExact})
-	if err != nil {
-		panic("quicknn: SearchExact: " + err.Error())
-	}
-	return res
-}
-
-// SearchChecks is the FLANN-style budgeted approximate search: after the
-// primary bucket, the nearest unexplored branches are visited until at
-// least `checks` reference points have been examined. checks=0 equals
-// Search; checks ≥ Len() approaches SearchExact. It exposes the
-// accuracy/latency trade-off the paper's CPU baseline tunes. It is a
-// wrapper over Query with ModeChecks.
-func (ix *Index) SearchChecks(q Point, k, checks int) []Neighbor {
-	res, err := ix.Query(context.Background(), q, QueryOptions{K: k, Mode: ModeChecks, Checks: checks})
-	if err != nil {
-		panic("quicknn: SearchChecks: " + err.Error())
-	}
-	return res
-}
-
-// SearchRadius returns every indexed point within radius meters of q
-// (exact, via backtracking), nearest first. It is a wrapper over Query
-// with ModeRadius.
-func (ix *Index) SearchRadius(q Point, radius float64) []Neighbor {
-	res, err := ix.Query(context.Background(), q, QueryOptions{Mode: ModeRadius, Radius: radius})
-	if err != nil {
-		panic("quicknn: SearchRadius: " + err.Error())
-	}
-	return res
-}
-
-// SearchAll runs the approximate search for every query point (the
-// successive-frame workload).
-func (ix *Index) SearchAll(queries []Point, k int) [][]Neighbor {
-	res, _ := ix.tree.SearchAllApprox(queries, k)
-	return res
-}
-
-// SearchAllParallel is SearchAll fanned out across workers goroutines
-// (GOMAXPROCS when workers <= 0). Searches do not mutate the index, so
-// this is safe whenever no Update runs concurrently. It is a wrapper over
-// QueryBatch.
-func (ix *Index) SearchAllParallel(queries []Point, k, workers int) [][]Neighbor {
-	res, err := ix.QueryBatch(context.Background(), queries, QueryOptions{K: k, Workers: workers})
-	if err != nil {
-		panic("quicknn: SearchAllParallel: " + err.Error())
-	}
-	return res
-}
-
 // Update re-populates the index with a new frame using the paper's
 // incremental tree update (§4.4): the split structure is reused and
 // rebalanced locally instead of rebuilt, keeping every bucket within
-// [mean/2, 2·mean]. The indexed reference set becomes points.
-func (ix *Index) Update(points []Point) {
+// [mean/2, 2·mean]. The indexed reference set becomes points. A point
+// with a NaN or infinite coordinate is refused with ErrInvalidPoint
+// before anything changes, leaving the index as it was.
+func (ix *Index) Update(points []Point) error {
+	if err := checkFinite(points); err != nil {
+		return err
+	}
 	ix.ref = append(ix.ref[:0], points...)
 	ix.tree.UpdateFrame(ix.ref, 0, 0)
+	return nil
 }
 
 // UpdateStatic re-populates the index keeping the splits frozen (the
 // paper's static-tree mode — fast, but balance degrades over frames).
-func (ix *Index) UpdateStatic(points []Point) {
+// It refuses non-finite points as Update does.
+func (ix *Index) UpdateStatic(points []Point) error {
+	if err := checkFinite(points); err != nil {
+		return err
+	}
 	ix.ref = append(ix.ref[:0], points...)
 	ix.tree.ResetBuckets()
 	ix.tree.Place(ix.ref)
+	return nil
 }
+
+// checkFinite returns an error wrapping ErrInvalidPoint for the first
+// point with a NaN or infinite coordinate: the search's distance
+// compares have no order for NaN, so such a point would corrupt exact
+// answers.
+func checkFinite(points []Point) error {
+	for i, p := range points {
+		if !finite(p.X) || !finite(p.Y) || !finite(p.Z) {
+			return fmt.Errorf("%w: point %d is (%g, %g, %g)", ErrInvalidPoint, i, p.X, p.Y, p.Z)
+		}
+	}
+	return nil
+}
+
+// finite reports whether v is neither NaN nor ±Inf: its exponent bits are
+// not all ones.
+func finite(v float32) bool { return math.Float32bits(v)&0x7f800000 != 0x7f800000 }
 
 // SetParallelism adjusts the ingest worker budget after construction,
 // snapshotting, or loading: 0 restores the GOMAXPROCS default, 1 = one

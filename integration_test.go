@@ -16,8 +16,8 @@ func TestPipelineSoftwareVsSimulator(t *testing.T) {
 	frames := SyntheticFrames(6000, 2, 31)
 	prev, cur := frames[0], frames[1]
 
-	ix := NewIndex(prev, WithBucketSize(256), WithSeed(7))
-	soft := ix.SearchAll(cur, 8)
+	ix := mustIndex(t, prev, WithBucketSize(256), WithSeed(7))
+	soft := mustQueryBatch(t, ix, cur, QueryOptions{K: 8, Workers: 1})
 
 	cfg := SimConfig{FUs: 64, K: 8, BucketSize: 256, ComputeResults: true}
 	rep := SimulateAccelerator(prev, cur, cfg, 7)
@@ -56,7 +56,7 @@ func TestPipelineDriveConsistency(t *testing.T) {
 	frames := SyntheticFrames(5000, 4, 32)
 
 	// Software: incremental updates keep all points findable.
-	ix := NewIndex(frames[0])
+	ix := mustIndex(t, frames[0])
 	for _, f := range frames[1:] {
 		ix.Update(f)
 		s := ix.Stats()
@@ -94,14 +94,14 @@ func TestPipelinePerceptionLoop(t *testing.T) {
 	frames := SyntheticFrames(8000, 2, 33)
 	prev, cur := frames[0], frames[1]
 
-	ref := NewIndex(prev)
+	ref := mustIndex(t, prev)
 	motion := EstimateMotion(ref, cur, ICPConfig{Iterations: 20, Subsample: 2})
 	if motion.Pairs < len(cur)/4 {
 		t.Fatalf("ICP matched only %d pairs", motion.Pairs)
 	}
 	aligned := motion.Motion.ApplyAll(cur)
 
-	results := ref.SearchAll(aligned, 1)
+	results := mustQueryBatch(t, ref, aligned, QueryOptions{K: 1, Workers: 1})
 	var residuals []float64
 	for _, r := range results {
 		if len(r) > 0 {

@@ -58,7 +58,7 @@ func TestResultsMatchSoftwareApproxSearch(t *testing.T) {
 		t.Fatalf("results = %d", len(rep.Results))
 	}
 	for qi, q := range cur {
-		want, _ := tree.SearchApprox(q, 4)
+		want, _ := tree.Search(q, kdtree.Spec{K: 4})
 		got := rep.Results[qi]
 		if len(got) != len(want) {
 			t.Fatalf("query %d: %d results, want %d", qi, len(got), len(want))
@@ -293,7 +293,7 @@ func TestExactBacktrackMode(t *testing.T) {
 	rep := SimulateFrame(tree, cur, Config{FUs: 16, K: 4, ExactBacktrack: true, ComputeResults: true},
 		checkedProto(), 5)
 	for qi := 0; qi < len(cur); qi += 97 {
-		want, _ := tree.SearchExact(cur[qi], 4)
+		want, _ := tree.Search(cur[qi], kdtree.Spec{Mode: kdtree.Exact, K: 4})
 		got := rep.Results[qi]
 		if len(got) != len(want) {
 			t.Fatalf("query %d: %d results, want %d", qi, len(got), len(want))

@@ -515,7 +515,7 @@ func (s *tsearch) handleFlushes(flushes []gather.Flush) {
 func (s *tsearch) computeResults(f gather.Flush) {
 	if s.cfg.ExactBacktrack {
 		for _, qi := range f.Items {
-			res, _ := s.tree.SearchExact(s.queries[qi], s.cfg.K)
+			res, _ := s.tree.Search(s.queries[qi], kdtree.Spec{Mode: kdtree.Exact, K: s.cfg.K})
 			s.rep.Results[qi] = res
 		}
 		return

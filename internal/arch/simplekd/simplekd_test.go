@@ -59,7 +59,7 @@ func TestSameComputationAsQuickNN(t *testing.T) {
 	rep := quicknn.SimulateFrame(tree, cur, full, checkedProto(), 6)
 	_ = cfg
 	for qi, q := range cur {
-		want, _ := tree.SearchApprox(q, 4)
+		want, _ := tree.Search(q, kdtree.Spec{K: 4})
 		got := rep.Results[qi]
 		if len(got) != len(want) {
 			t.Fatalf("query %d: %d vs %d results", qi, len(got), len(want))

@@ -4,6 +4,7 @@ import (
 	"io"
 	"math/rand"
 
+	"github.com/quicknn/quicknn/internal/kdtree"
 	"github.com/quicknn/quicknn/internal/kmeans"
 	"github.com/quicknn/quicknn/internal/linear"
 	"github.com/quicknn/quicknn/internal/lsh"
@@ -103,7 +104,7 @@ func runTable1(w io.Writer, opts Options) error {
 	tree := buildTree(ref, 256, opts.Seed)
 	kdHits, kdScanned := 0, 0
 	for i, q := range queries {
-		res, st := tree.SearchApprox(q, k)
+		res, st := tree.Search(q, kdtree.Spec{K: k})
 		kdScanned += st.PointsScanned
 		kdHits += recallHits(res, exact[i])
 	}
@@ -176,7 +177,7 @@ func runFig3(w io.Writer, opts Options) error {
 		hitsAtX := make([]int, maxX+1)
 		top1 := 0
 		for i, q := range queries {
-			res, _ := tree.SearchApprox(q, k)
+			res, _ := tree.Search(q, kdtree.Spec{K: k})
 			if len(exact[i]) > 0 {
 				for _, a := range res {
 					if a.Index == exact[i][0].Index {

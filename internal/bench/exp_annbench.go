@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/quicknn/quicknn/internal/geom"
+	"github.com/quicknn/quicknn/internal/kdtree"
 	"github.com/quicknn/quicknn/internal/kmeans"
 	"github.com/quicknn/quicknn/internal/linear"
 	"github.com/quicknn/quicknn/internal/lsh"
@@ -77,7 +78,7 @@ func runANNBench(w io.Writer, opts Options) error {
 			name += " (checks=" + fmtInt(checks) + ")"
 		}
 		if err := measure(name, func(q geom.Point) []nn.Neighbor {
-			res, _ := tree.SearchChecks(q, k, checks)
+			res, _ := tree.Search(q, kdtree.Spec{Mode: kdtree.Checks, K: k, Checks: checks})
 			return res
 		}); err != nil {
 			return err

@@ -3,6 +3,7 @@ package bench
 import (
 	"io"
 
+	"github.com/quicknn/quicknn/internal/kdtree"
 	"github.com/quicknn/quicknn/internal/linear"
 )
 
@@ -39,7 +40,7 @@ func runChecks(w io.Writer, opts Options) error {
 		var scanned, buckets int
 		for _, q := range queries {
 			exact := linear.Search(ref, q, 1)
-			res, stats := tree.SearchChecks(q, 1, budget)
+			res, stats := tree.Search(q, kdtree.Spec{Mode: kdtree.Checks, K: 1, Checks: budget})
 			scanned += stats.PointsScanned
 			buckets += stats.BucketsVisited
 			if len(res) > 0 && len(exact) > 0 && res[0].Index == exact[0].Index {

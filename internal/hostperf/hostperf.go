@@ -30,6 +30,7 @@ import (
 
 	"github.com/quicknn/quicknn/internal/geom"
 	"github.com/quicknn/quicknn/internal/kdtree"
+	"github.com/quicknn/quicknn/internal/nn"
 )
 
 // Platform power draws implied by Table 6 (see package comment).
@@ -129,7 +130,13 @@ func MeasureHost(n, bucketSize int, seed int64) HostMeasurement {
 	tree := kdtree.Build(pts, kdtree.Config{BucketSize: bucketSize}, rng)
 	build := time.Since(start).Seconds()
 	start = time.Now()
-	_, _ = tree.SearchAllApprox(queries, 8)
+	const k = 8
+	results := make([][]nn.Neighbor, len(queries))
+	backing := make([]nn.Neighbor, len(queries)*k)
+	for qi := range results {
+		results[qi] = backing[qi*k : qi*k : (qi+1)*k]
+	}
+	tree.SearchBatch(queries, kdtree.Spec{K: k}, 1, results, nil)
 	search := time.Since(start).Seconds()
 	return HostMeasurement{Points: n, BuildSeconds: build, SearchSeconds: search}
 }

@@ -44,9 +44,7 @@ func (t *Tree) MeasureAccuracy(reference, queries []geom.Point, k, x int) Accura
 	s := getScratch()
 	defer putScratch(s)
 	for _, q := range queries {
-		s.initCands(k)
-		t.searchApproxInto(q, s)
-		res := t.appendCands(nil, s.cands)
+		res, _, _ := t.SearchInto(q, Spec{K: k}, s, nil, nil)
 		exact := linear.Search(reference, q, k+x)
 		exactSet := make(map[int]int, len(exact))
 		for rank, e := range exact {

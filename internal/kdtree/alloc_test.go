@@ -1,6 +1,7 @@
 package kdtree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,8 +9,8 @@ import (
 	"github.com/quicknn/quicknn/internal/nn"
 )
 
-// The zero-allocation contract of docs/performance.md, enforced: a *Into
-// search with a warm Scratch and a caller-owned dst performs zero heap
+// The zero-allocation contract of docs/performance.md, enforced: a
+// SearchInto call with a warm Scratch and a caller-owned dst performs zero heap
 // allocations in steady state. Any regression (a closure capture, an
 // interface box, a slice that escapes) fails these guards immediately.
 
@@ -38,27 +39,27 @@ func TestSearchIntoZeroAllocs(t *testing.T) {
 		return q
 	}
 
-	assertZeroAllocs(t, "SearchApproxInto", func() {
-		dst, _ = tree.SearchApproxInto(next(), k, s, dst[:0])
-	})
-	assertZeroAllocs(t, "SearchExactInto", func() {
-		dst, _ = tree.SearchExactInto(next(), k, s, dst[:0])
-	})
-	assertZeroAllocs(t, "SearchChecksInto", func() {
-		dst, _ = tree.SearchChecksInto(next(), k, 1024, s, dst[:0])
-	})
-	assertZeroAllocs(t, "SearchRadiusInto", func() {
-		dst, _ = tree.SearchRadiusInto(next(), 1.0, s, dst[:0])
-	})
 	stop := func() bool { return false }
-	assertZeroAllocs(t, "SearchExactStopInto", func() {
-		dst, _, _ = tree.SearchExactStopInto(next(), k, s, dst[:0], stop)
-	})
+	for _, spec := range []Spec{
+		{Mode: Approx, K: k},
+		{Mode: Exact, K: k},
+		{Mode: Checks, K: k, Checks: 1024},
+		{Mode: Radius, Radius: 1.0}, // dst is pre-sized for its matches
+	} {
+		for _, st := range []struct {
+			name string
+			fn   func() bool
+		}{{"nil-stop", nil}, {"stop", stop}} {
+			assertZeroAllocs(t, fmt.Sprintf("SearchInto/mode%d/%s", spec.Mode, st.name), func() {
+				dst, _, _ = tree.SearchInto(next(), spec, s, dst[:0], st.fn)
+			})
+		}
+	}
 }
 
-// TestSearchAllAllocsBounded pins the batch fan-outs to their documented
-// allocation budget: one [][]Neighbor header array plus one flat backing
-// array per batch, regardless of query count.
+// TestSearchAllAllocsBounded pins a one-worker batch over freshly carved
+// result regions to its allocation budget: one [][]Neighbor header array
+// plus one flat backing array per batch, regardless of query count.
 func TestSearchAllAllocsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is not meaningful under the race detector")
@@ -67,13 +68,13 @@ func TestSearchAllAllocsBounded(t *testing.T) {
 	tree := mustBuild(t, pts, Config{BucketSize: 256}, 75)
 	queries := equivalenceQueries(512, 76)
 	const k = 10
-	tree.SearchAllApprox(queries, k) // warm the scratch pool
+	searchAll(tree, queries, Spec{K: k}) // warm the scratch pool
 	allocs := testing.AllocsPerRun(20, func() {
-		tree.SearchAllApprox(queries, k)
+		searchAll(tree, queries, Spec{K: k})
 	})
 	// out headers + flat backing = 2; tolerate one pool refill.
 	if allocs > 3 {
-		t.Errorf("SearchAllApprox: %v allocs per 512-query batch, want <= 3", allocs)
+		t.Errorf("searchAll: %v allocs per 512-query batch, want <= 3", allocs)
 	}
 }
 
@@ -91,7 +92,7 @@ func TestScratchReuseAcrossKs(t *testing.T) {
 			Y: float32(rng.Float64()*100 - 50),
 			Z: float32(rng.Float64() * 4),
 		}
-		got, gotStats := tree.SearchExactInto(q, k, s, nil)
+		got, gotStats, _ := tree.SearchInto(q, Spec{Mode: Exact, K: k}, s, nil, nil)
 		want, wantStats := refSearchExactTight(tree, q, k)
 		diffNeighbors(t, "reuse/exact", got, want, gotStats, wantStats)
 	}

@@ -56,7 +56,7 @@ func TestCompactArenaPreservesSearchesAndZeroesHoles(t *testing.T) {
 	record := func() snap {
 		var s snap
 		for _, q := range queries {
-			r, st := tree.SearchExact(q, 8)
+			r, st := tree.Search(q, Spec{Mode: Exact, K: 8})
 			s.res = append(s.res, r)
 			s.stats = append(s.stats, st)
 		}

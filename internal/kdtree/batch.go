@@ -28,50 +28,51 @@ import (
 // byte-identical to running the queries one by one (the equivalence suite
 // asserts exactly that).
 
-// BatchMode selects the search SearchBatch runs for every query.
-type BatchMode uint8
-
-const (
-	// BatchApprox scans each query's primary bucket only (SearchApprox).
-	BatchApprox BatchMode = iota
-	// BatchExact runs the full backtracking search (SearchExact).
-	BatchExact
-	// BatchChecks runs the best-bin-first search under a reference-point
-	// budget (SearchChecks).
-	BatchChecks
-	// BatchRadius collects every point within a radius (SearchRadius).
-	BatchRadius
-)
-
-// BatchSpec parameterizes SearchBatch: the mode plus the knobs it reads.
-type BatchSpec struct {
-	Mode BatchMode
-	// K is the neighbor count of the k-bounded modes (must be > 0 there).
-	K int
-	// Checks is BatchChecks' reference-point budget.
-	Checks int
-	// Radius is BatchRadius' search radius.
-	Radius float64
-}
-
 // batchRun is the number of queries of the grouped order a batch worker
 // claims per atomic fetch: runs keep a group's locality within one
 // worker, yet split a large group — one dense cluster — across workers;
 // the worker count is capped at one per run.
 const batchRun = 16
 
-// batchPlan is the reusable grouped execution order for one query batch.
+// batchPlan is the reusable grouped execution order for one query batch,
+// plus the batch's parameters and the state its workers share. Holding
+// all of it in one pooled value keeps a multi-worker batch from
+// allocating anything but its goroutines.
 type batchPlan struct {
 	leaf   []int32 // per-query primary bucket id
 	depth  []int32 // per-query descent depth (traversal steps)
 	starts []int32 // group start offsets into order, len = len(buckets)+1
 	cursor []int32 // scatter cursors (planning scratch)
 	order  []int32 // query indices, grouped by primary bucket
+
+	t       *Tree
+	queries []geom.Point
+	spec    Spec
+	results [][]nn.Neighbor
+	stop    func() bool
+
+	// fanOut's shared state: the next unclaimed offset into order, the
+	// abort flag, and the workers' summed output under mu.
+	next    atomic.Int64
+	aborted atomic.Bool
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	stats   SearchStats
+	inserts int
 }
 
 // batchPlanPool recycles plans across batches: after warm-up a plan of
 // sufficient capacity is reused allocation-free.
 var batchPlanPool = sync.Pool{New: func() interface{} { return new(batchPlan) }}
+
+func getBatchPlan() *batchPlan { return batchPlanPool.Get().(*batchPlan) }
+
+// putBatchPlan drops the plan's references to the finished batch and
+// returns it to the pool.
+func putBatchPlan(pl *batchPlan) {
+	pl.t, pl.queries, pl.results, pl.stop = nil, nil, nil, nil
+	batchPlanPool.Put(pl)
+}
 
 // sized32 returns s resized to n, reusing its backing array when large
 // enough. Contents are unspecified.
@@ -118,142 +119,114 @@ func (t *Tree) plan(queries []geom.Point, pl *batchPlan) {
 // SearchBatch runs spec's search for every query, appending query qi's
 // neighbors to results[qi]. In the k-bounded modes results[qi] should be
 // a caller-provided region with capacity for K more entries (regions of
-// one flat backing array in practice), so nothing reallocates;
-// BatchRadius appends as many matches as it finds. Queries execute in
+// one flat backing array in practice), so nothing reallocates; Radius
+// mode appends as many matches as it finds. Queries execute in
 // leaf-grouped order, fanned out over up to workers goroutines (at most
 // one per batchRun queries; the caller's goroutine is one of them) —
 // callers must then ensure the results regions do not alias. Per-query
 // output, the summed stats and the summed candidate-insert count are
-// identical to calling the matching *Into search per query and adding up
-// its stats and Scratch.CandInserts.
+// identical to calling SearchInto per query and adding up its stats and
+// Scratch.CandInserts.
 //
 // stop, when non-nil, is polled whenever a worker enters a new leaf group
-// and, in the backtracking modes, before every bucket scan; a true return
+// and, in the backtracking modes, as SearchInto polls it; a true return
 // abandons the batch (stopped=true, results partially filled).
-func (t *Tree) SearchBatch(queries []geom.Point, spec BatchSpec, workers int, results [][]nn.Neighbor, stop func() bool) (stats SearchStats, inserts int, stopped bool) {
+func (t *Tree) SearchBatch(queries []geom.Point, spec Spec, workers int, results [][]nn.Neighbor, stop func() bool) (stats SearchStats, inserts int, stopped bool) {
 	n := len(queries)
 	if n == 0 {
 		return SearchStats{}, 0, false
 	}
-	pl := batchPlanPool.Get().(*batchPlan)
-	defer batchPlanPool.Put(pl)
+	pl := getBatchPlan()
+	defer putBatchPlan(pl)
 	t.plan(queries, pl)
+	pl.t, pl.queries, pl.spec, pl.results, pl.stop = t, queries, spec, results, stop
 	workers = min(workers, (n+batchRun-1)/batchRun)
 	if workers <= 1 {
 		s := getScratch()
 		defer putScratch(s)
-		return t.runOrder(queries, spec, pl, pl.order, s, results, stop)
+		return pl.runOrder(pl.order, s)
 	}
-	return t.fanOut(queries, spec, pl, workers, results, stop)
+	return pl.fanOut(workers)
 }
 
 // fanOut runs pl's grouped order on workers goroutines, the caller's
 // included, each claiming batchRun-query runs until the order is
-// exhausted or a run stops. Kept apart from SearchBatch so the one-worker
-// path never heap-allocates the shared state the goroutines capture.
-func (t *Tree) fanOut(queries []geom.Point, spec BatchSpec, pl *batchPlan, workers int, results [][]nn.Neighbor, stop func() bool) (SearchStats, int, bool) {
-	n := len(queries)
-	var (
-		next    atomic.Int64
-		aborted atomic.Bool
-		mu      sync.Mutex
-		wg      sync.WaitGroup
-		stats   SearchStats
-		inserts int
-	)
-	work := func() {
-		s := getScratch()
-		defer putScratch(s)
-		var local SearchStats
-		localIns := 0
-		for !aborted.Load() {
-			lo := int(next.Add(batchRun)) - batchRun
-			if lo >= n {
-				break
-			}
-			hi := min(lo+batchRun, n)
-			st, ins, stp := t.runOrder(queries, spec, pl, pl.order[lo:hi], s, results, stop)
-			local.Add(st)
-			localIns += ins
-			if stp {
-				aborted.Store(true)
-			}
-		}
-		mu.Lock()
-		stats.Add(local)
-		inserts += localIns
-		mu.Unlock()
-	}
-	wg.Add(workers - 1)
+// exhausted or a run stops.
+func (pl *batchPlan) fanOut(workers int) (SearchStats, int, bool) {
+	pl.next.Store(0)
+	pl.aborted.Store(false)
+	pl.stats, pl.inserts = SearchStats{}, 0
+	pl.wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
 		go func() {
-			defer wg.Done()
-			work()
+			defer pl.wg.Done()
+			pl.work()
 		}()
 	}
-	work()
-	wg.Wait()
-	return stats, inserts, aborted.Load()
+	pl.work()
+	pl.wg.Wait()
+	return pl.stats, pl.inserts, pl.aborted.Load()
+}
+
+// work is one fanOut worker: it claims runs of the grouped order and
+// adds its summed output to pl's under pl.mu.
+func (pl *batchPlan) work() {
+	s := getScratch()
+	defer putScratch(s)
+	n := len(pl.order)
+	var stats SearchStats
+	inserts := 0
+	for !pl.aborted.Load() {
+		lo := int(pl.next.Add(batchRun)) - batchRun
+		if lo >= n {
+			break
+		}
+		st, ins, stp := pl.runOrder(pl.order[lo:min(lo+batchRun, n)], s)
+		stats.Add(st)
+		inserts += ins
+		if stp {
+			pl.aborted.Store(true)
+		}
+	}
+	pl.mu.Lock()
+	pl.stats.Add(stats)
+	pl.inserts += inserts
+	pl.mu.Unlock()
 }
 
 // runOrder executes the queries listed in order — a run of pl's grouped
-// order — on one goroutine with scratch s.
-func (t *Tree) runOrder(queries []geom.Point, spec BatchSpec, pl *batchPlan, order []int32, s *Scratch, results [][]nn.Neighbor, stop func() bool) (stats SearchStats, inserts int, stopped bool) {
+// order — on one goroutine with scratch s. In Approx mode each query
+// scans the primary bucket the plan already found.
+func (pl *batchPlan) runOrder(order []int32, s *Scratch) (stats SearchStats, inserts int, stopped bool) {
 	group := int32(-1)
 	for _, qi := range order {
 		if b := pl.leaf[qi]; b != group {
 			group = b
-			if stop != nil && stop() {
+			if pl.stop != nil && pl.stop() {
 				return stats, inserts, true
 			}
 		}
-		q := queries[qi]
-		switch spec.Mode {
-		case BatchApprox:
-			// The plan already descended: scan the primary bucket.
-			s.initCands(spec.K)
-			stats.PointsScanned += t.scanBucket(group, q, s)
-			stats.TraversalSteps += int(pl.depth[qi])
-			stats.BucketsVisited++
-		case BatchExact:
-			s.initCands(spec.K)
-			if t.searchExactCore(q, tightBounds, s, &stats, stop, nil) {
-				return stats, inserts, true
-			}
-		case BatchChecks:
-			// The budget counts this query's points only.
-			var qs SearchStats
-			s.initCands(spec.K)
-			stp := t.searchChecksCore(q, spec.Checks, s, &qs, stop)
-			stats.Add(qs)
-			if stp {
-				return stats, inserts, true
-			}
-		case BatchRadius:
-			res, stp := t.searchRadiusCore(q, spec.Radius, s, results[qi], &stats, stop)
-			if stp {
-				return stats, inserts, true
-			}
-			results[qi] = res
-			inserts += s.inserts
-			continue
+		res, st, stp := pl.t.search(pl.queries[qi], pl.spec, group, int(pl.depth[qi]), s, pl.results[qi], pl.stop)
+		stats.Add(st)
+		if stp {
+			return stats, inserts, true
 		}
-		results[qi] = t.appendCands(results[qi], s.cands)
+		pl.results[qi] = res
 		inserts += s.inserts
 	}
 	return stats, inserts, false
 }
 
-// SearchApproxBatch runs the approximate search for every query; it is
-// SearchBatch in BatchApprox mode without the insert count.
+// SearchApproxBatch is SearchBatch in Approx mode without the insert
+// count. It is kept for perfbench's per-layer ledger, which calls it.
 func (t *Tree) SearchApproxBatch(queries []geom.Point, k, workers int, results [][]nn.Neighbor, stop func() bool) (stats SearchStats, stopped bool) {
-	stats, _, stopped = t.SearchBatch(queries, BatchSpec{Mode: BatchApprox, K: k}, workers, results, stop)
+	stats, _, stopped = t.SearchBatch(queries, Spec{Mode: Approx, K: k}, workers, results, stop)
 	return stats, stopped
 }
 
-// SearchExactBatch runs the exact search for every query; it is
-// SearchBatch in BatchExact mode without the insert count.
+// SearchExactBatch is SearchBatch in Exact mode without the insert
+// count. It is kept for perfbench's per-layer ledger, which calls it.
 func (t *Tree) SearchExactBatch(queries []geom.Point, k, workers int, results [][]nn.Neighbor, stop func() bool) (stats SearchStats, stopped bool) {
-	stats, _, stopped = t.SearchBatch(queries, BatchSpec{Mode: BatchExact, K: k}, workers, results, stop)
+	stats, _, stopped = t.SearchBatch(queries, Spec{Mode: Exact, K: k}, workers, results, stop)
 	return stats, stopped
 }

@@ -216,7 +216,7 @@ func equivalenceQueries(n int, seed int64) []geom.Point {
 }
 
 // TestSearchExactMatchesReference pins each exact rule to its recursive
-// oracle, stats included: SearchExact to the tight-rule oracle and
+// oracle, stats included: Exact-mode Search to the tight-rule oracle and
 // SearchExactBuckets to the plane-rule one. Both oracles return the
 // same neighbors.
 func TestSearchExactMatchesReference(t *testing.T) {
@@ -225,7 +225,7 @@ func TestSearchExactMatchesReference(t *testing.T) {
 		for _, k := range []int{1, 5, 16} {
 			for _, q := range queries {
 				want, wantStats := refSearchExactTight(tree, q, k)
-				got, gotStats := tree.SearchExact(q, k)
+				got, gotStats := tree.Search(q, Spec{Mode: Exact, K: k})
 				diffNeighbors(t, name+"/exact", got, want, gotStats, wantStats)
 				wantPlane, wantPlaneStats := refSearchExact(tree, q, k)
 				gotPlane, _, gotPlaneStats := tree.SearchExactBuckets(q, k)
@@ -242,7 +242,7 @@ func TestSearchChecksMatchesReference(t *testing.T) {
 		for _, checks := range []int{0, 256, 2048} {
 			for _, q := range queries {
 				want, wantStats := refSearchChecks(tree, q, 8, checks)
-				got, gotStats := tree.SearchChecks(q, 8, checks)
+				got, gotStats := tree.Search(q, Spec{Mode: Checks, K: 8, Checks: checks})
 				diffNeighbors(t, name+"/checks", got, want, gotStats, wantStats)
 			}
 		}
@@ -255,51 +255,51 @@ func TestSearchRadiusMatchesReference(t *testing.T) {
 		for _, r := range []float64{0.5, 2, 8} {
 			for _, q := range queries {
 				want, wantStats := refSearchRadius(tree, q, r)
-				got, gotStats := tree.SearchRadius(q, r)
+				got, gotStats := tree.Search(q, Spec{Mode: Radius, Radius: r})
 				diffNeighbors(t, name+"/radius", got, want, gotStats, wantStats)
 			}
 		}
 	}
 }
 
-// TestSearchAllMatchesSingles pins the flat-backing batch fan-outs to the
-// single-query searches they wrap.
+// TestSearchAllMatchesSingles pins one-worker batches over flat-backing
+// result regions to single-query searches.
 func TestSearchAllMatchesSingles(t *testing.T) {
 	for name, tree := range treeVariants(t) {
 		queries := equivalenceQueries(128, 46)
 		const k = 10
-		gotA, statsA := tree.SearchAllApprox(queries, k)
-		gotE, statsE := tree.SearchAllExact(queries, k)
+		gotA, statsA := searchAll(tree, queries, Spec{K: k})
+		gotE, statsE := searchAll(tree, queries, Spec{Mode: Exact, K: k})
 		var wantStatsA, wantStatsE SearchStats
 		for qi, q := range queries {
-			wa, sa := tree.SearchApprox(q, k)
+			wa, sa := tree.Search(q, Spec{K: k})
 			wantStatsA.Add(sa)
 			diffNeighbors(t, name+"/all-approx", gotA[qi], wa, SearchStats{}, SearchStats{})
-			we, se := tree.SearchExact(q, k)
+			we, se := tree.Search(q, Spec{Mode: Exact, K: k})
 			wantStatsE.Add(se)
 			diffNeighbors(t, name+"/all-exact", gotE[qi], we, SearchStats{}, SearchStats{})
 		}
 		if statsA != wantStatsA {
-			t.Fatalf("%s: SearchAllApprox stats %+v, want %+v", name, statsA, wantStatsA)
+			t.Fatalf("%s: approx batch stats %+v, want %+v", name, statsA, wantStatsA)
 		}
 		if statsE != wantStatsE {
-			t.Fatalf("%s: SearchAllExact stats %+v, want %+v", name, statsE, wantStatsE)
+			t.Fatalf("%s: exact batch stats %+v, want %+v", name, statsE, wantStatsE)
 		}
 	}
 }
 
 // TestSearchBatchMatchesSingles pins the one batch runner, in all four
-// modes and at several worker counts, to the single-query *Into searches:
+// modes and at several worker counts, to the single-query SearchInto:
 // byte-identical neighbors per query, and stats and candidate inserts
 // equal to the per-query sums.
 func TestSearchBatchMatchesSingles(t *testing.T) {
 	queries := equivalenceQueries(150, 47)
 	for name, tree := range treeVariants(t) {
-		for _, spec := range []BatchSpec{
-			{Mode: BatchApprox, K: 10},
-			{Mode: BatchExact, K: 10},
-			{Mode: BatchChecks, K: 6, Checks: 700},
-			{Mode: BatchRadius, Radius: 2},
+		for _, spec := range []Spec{
+			{Mode: Approx, K: 10},
+			{Mode: Exact, K: 10},
+			{Mode: Checks, K: 6, Checks: 700},
+			{Mode: Radius, Radius: 2},
 		} {
 			s := NewScratch()
 			want := make([][]nn.Neighbor, len(queries))
@@ -307,16 +307,7 @@ func TestSearchBatchMatchesSingles(t *testing.T) {
 			wantInserts := 0
 			for qi, q := range queries {
 				var st SearchStats
-				switch spec.Mode {
-				case BatchApprox:
-					want[qi], st = tree.SearchApproxInto(q, spec.K, s, nil)
-				case BatchExact:
-					want[qi], st = tree.SearchExactInto(q, spec.K, s, nil)
-				case BatchChecks:
-					want[qi], st = tree.SearchChecksInto(q, spec.K, spec.Checks, s, nil)
-				case BatchRadius:
-					want[qi], st = tree.SearchRadiusInto(q, spec.Radius, s, nil)
-				}
+				want[qi], st, _ = tree.SearchInto(q, spec, s, nil, nil)
 				wantStats.Add(st)
 				wantInserts += s.CandInserts()
 			}
@@ -339,14 +330,43 @@ func TestSearchBatchMatchesSingles(t *testing.T) {
 }
 
 // TestSearchBatchStops checks that a stop predicate abandons the batch in
-// every mode and at every worker count.
+// every mode and at every worker count, and a single SearchInto in every
+// backtracking mode: a stopped search returns dst unextended, and a nil
+// dst stays nil. Approx mode scans one bucket and never polls.
 func TestSearchBatchStops(t *testing.T) {
 	tree := mustBuild(t, clusteredPoints(5000, 48), Config{BucketSize: 64}, 49)
 	queries := equivalenceQueries(200, 50)
-	for _, spec := range []BatchSpec{
-		{Mode: BatchApprox, K: 4}, {Mode: BatchExact, K: 4},
-		{Mode: BatchChecks, K: 4, Checks: 500}, {Mode: BatchRadius, Radius: 1},
+	for _, spec := range []Spec{
+		{Mode: Approx, K: 4}, {Mode: Exact, K: 4},
+		{Mode: Checks, K: 4, Checks: 500}, {Mode: Radius, Radius: 1},
 	} {
+		for _, dst := range [][]nn.Neighbor{nil, make([]nn.Neighbor, 2, 64)} {
+			// Stop at the second poll, once one bucket has been scanned,
+			// so a stopped search has partial results it must drop.
+			stops := 0
+			for _, q := range queries {
+				polls := 0
+				stop := func() bool { polls++; return polls > 1 }
+				res, _, stopped := tree.SearchInto(q, spec, NewScratch(), dst, stop)
+				if spec.Mode == Approx {
+					if stopped || polls != 0 || len(res) == len(dst) {
+						t.Fatalf("approx SearchInto: stopped %v after %d polls, %d results", stopped, polls, len(res))
+					}
+					continue
+				}
+				if !stopped {
+					continue
+				}
+				stops++
+				if len(res) != len(dst) || (res == nil) != (dst == nil) {
+					t.Fatalf("mode %d SearchInto: stopped with %d results from a dst of %d (nil %v)",
+						spec.Mode, len(res), len(dst), dst == nil)
+				}
+			}
+			if spec.Mode != Approx && stops == 0 {
+				t.Fatalf("mode %d SearchInto: no query stopped", spec.Mode)
+			}
+		}
 		for _, workers := range []int{1, 3} {
 			var polls atomic.Int64
 			stop := func() bool { return polls.Add(1) > 5 }

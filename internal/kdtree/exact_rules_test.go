@@ -12,7 +12,7 @@ import (
 )
 
 // The two exact-search rules of searchExactCore — the tight rule behind
-// SearchExact*, SearchBatch(BatchExact) and everything layered on them,
+// Exact-mode Search/SearchInto, SearchBatch(Exact) and everything layered on them,
 // and the plane rule behind SearchExactBuckets — must return
 // byte-identical neighbors on every tree and every query; only the work
 // differs. These tests build trees through every mutating path on
@@ -131,7 +131,7 @@ func edgeQueries(tree *Tree, base []geom.Point) []geom.Point {
 
 // requireRulesAgree runs queries at each k through the plane rule
 // (SearchExactBuckets, one query at a time), the tight rule one query
-// at a time (SearchExactInto), and the tight rule batched at every
+// at a time (SearchInto), and the tight rule batched at every
 // worker count (SearchBatch), and fails unless every answer is
 // byte-identical. The tight rule must not do more work than the plane
 // rule, and on the first queries its stats must equal the tight-rule
@@ -146,7 +146,7 @@ func requireRulesAgree(t *testing.T, label string, tree *Tree, queries []geom.Po
 			var st SearchStats
 			plane[qi], _, st = tree.SearchExactBuckets(q, k)
 			planeStats.Add(st)
-			got, gotStats := tree.SearchExactInto(q, k, s, nil)
+			got, gotStats, _ := tree.SearchInto(q, Spec{Mode: Exact, K: k}, s, nil, nil)
 			diffNeighbors(t, fmt.Sprintf("%s/k%d/query%d/single", label, k, qi), got, plane[qi], SearchStats{}, SearchStats{})
 			tightStats.Add(gotStats)
 			if qi < 24 {
@@ -159,7 +159,7 @@ func requireRulesAgree(t *testing.T, label string, tree *Tree, queries []geom.Po
 		}
 		for _, workers := range ingestWorkerCounts {
 			out := batchRegions(len(queries), k)
-			stats, _, _ := tree.SearchBatch(queries, BatchSpec{Mode: BatchExact, K: k}, workers, out, nil)
+			stats, _, _ := tree.SearchBatch(queries, Spec{Mode: Exact, K: k}, workers, out, nil)
 			for qi := range queries {
 				diffNeighbors(t, fmt.Sprintf("%s/k%d/workers%d/query%d", label, k, workers, qi), out[qi], plane[qi], SearchStats{}, SearchStats{})
 			}

@@ -42,13 +42,14 @@ func benchTreeAndQueries(b *testing.B, n, q int) (*Tree, []geom.Point) {
 }
 
 // BenchmarkHotSearchAllApprox is the successive-frame workload: one op =
-// the full 2048-query approximate batch.
+// the full 2048-query approximate batch, run by SearchBatch on one worker
+// into freshly carved flat result regions.
 func BenchmarkHotSearchAllApprox(b *testing.B) {
 	tree, queries := benchTreeAndQueries(b, 20000, 2048)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _ := tree.SearchAllApprox(queries, 8)
+		res, _ := searchAll(tree, queries, Spec{K: 8})
 		if len(res) != len(queries) {
 			b.Fatalf("got %d results", len(res))
 		}
@@ -61,7 +62,7 @@ func BenchmarkHotSearchApprox(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _ := tree.SearchApprox(queries[i%len(queries)], 8)
+		res, _ := tree.Search(queries[i%len(queries)], Spec{K: 8})
 		if len(res) == 0 {
 			b.Fatal("empty result")
 		}
@@ -74,7 +75,7 @@ func BenchmarkHotSearchExact(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _ := tree.SearchExact(queries[i%len(queries)], 8)
+		res, _ := tree.Search(queries[i%len(queries)], Spec{Mode: Exact, K: 8})
 		if len(res) == 0 {
 			b.Fatal("empty result")
 		}
@@ -88,7 +89,7 @@ func BenchmarkHotSearchChecks(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _ := tree.SearchChecks(queries[i%len(queries)], 8, 1024)
+		res, _ := tree.Search(queries[i%len(queries)], Spec{Mode: Checks, K: 8, Checks: 1024})
 		if len(res) == 0 {
 			b.Fatal("empty result")
 		}
@@ -101,18 +102,18 @@ func BenchmarkHotSearchRadius(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.SearchRadius(queries[i%len(queries)], 1.5)
+		tree.Search(queries[i%len(queries)], Spec{Mode: Radius, Radius: 1.5})
 	}
 }
 
-// BenchmarkHotSearchAllExact is the exact batch workload (satellite fix:
-// the per-query TopK hoisted out of the loop).
+// BenchmarkHotSearchAllExact is the exact batch workload, run like
+// BenchmarkHotSearchAllApprox.
 func BenchmarkHotSearchAllExact(b *testing.B) {
 	tree, queries := benchTreeAndQueries(b, 20000, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _ := tree.SearchAllExact(queries, 8)
+		res, _ := searchAll(tree, queries, Spec{Mode: Exact, K: 8})
 		if len(res) != len(queries) {
 			b.Fatalf("got %d results", len(res))
 		}
@@ -126,7 +127,7 @@ func BenchmarkHotSearchAllExact(b *testing.B) {
 // work per query as points/query and buckets/query.
 //
 // BenchmarkHotSearchExactFrames is the production path, SearchBatch in
-// BatchExact mode (the tight rule). BenchmarkHotSearchExactFramesPlane
+// Exact mode (the tight rule). BenchmarkHotSearchExactFramesPlane
 // runs the same grouped order with the plane rule, which is the exact
 // search before per-bucket boxes and the per-axis bound: the pair
 // measures the pruning within one run, on one host.
@@ -170,7 +171,7 @@ func benchExactFrames(b *testing.B, run func(t *Tree, batch []geom.Point, out []
 
 func BenchmarkHotSearchExactFrames(b *testing.B) {
 	benchExactFrames(b, func(t *Tree, batch []geom.Point, out [][]nn.Neighbor) SearchStats {
-		st, _, _ := t.SearchBatch(batch, BatchSpec{Mode: BatchExact, K: 8}, 1, out, nil)
+		st, _, _ := t.SearchBatch(batch, Spec{Mode: Exact, K: 8}, 1, out, nil)
 		return st
 	})
 }

@@ -112,19 +112,19 @@ func requireSameAnswers(t *testing.T, label string, ref, got *Tree) {
 	queries := equivalenceQueries(40, 97)
 	for _, k := range []int{1, 8} {
 		for qi, q := range queries {
-			wantA, wantAS := ref.SearchApprox(q, k)
-			gotA, gotAS := got.SearchApprox(q, k)
+			wantA, wantAS := ref.Search(q, Spec{K: k})
+			gotA, gotAS := got.Search(q, Spec{K: k})
 			if !reflect.DeepEqual(wantA, gotA) || wantAS != gotAS {
 				t.Fatalf("%s: approx k=%d query %d diverges:\n got %v %+v\nwant %v %+v",
 					label, k, qi, gotA, gotAS, wantA, wantAS)
 			}
-			wantE, wantES := ref.SearchExact(q, k)
-			gotE, gotES := got.SearchExact(q, k)
+			wantE, wantES := ref.Search(q, Spec{Mode: Exact, K: k})
+			gotE, gotES := got.Search(q, Spec{Mode: Exact, K: k})
 			if !reflect.DeepEqual(wantE, gotE) || wantES != gotES {
 				t.Fatalf("%s: exact k=%d query %d diverges", label, k, qi)
 			}
-			wantC, wantCS := ref.SearchChecks(q, k, 512)
-			gotC, gotCS := got.SearchChecks(q, k, 512)
+			wantC, wantCS := ref.Search(q, Spec{Mode: Checks, K: k, Checks: 512})
+			gotC, gotCS := got.Search(q, Spec{Mode: Checks, K: k, Checks: 512})
 			if !reflect.DeepEqual(wantC, gotC) || wantCS != gotCS {
 				t.Fatalf("%s: checks k=%d query %d diverges", label, k, qi)
 			}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/quicknn/quicknn/internal/geom"
 	"github.com/quicknn/quicknn/internal/linear"
+	"github.com/quicknn/quicknn/internal/nn"
 )
 
 func clusteredPoints(n int, seed int64) []geom.Point {
@@ -41,6 +42,26 @@ func mustBuild(t *testing.T, pts []geom.Point, cfg Config, seed int64) *Tree {
 		t.Fatalf("invalid tree after build: %v", err)
 	}
 	return tree
+}
+
+// batchRegions carves one flat backing array of n*k records into n
+// zero-length, capacity-k views, the result regions a k-bounded batch
+// appends into without reallocating.
+func batchRegions(n, k int) [][]nn.Neighbor {
+	out := make([][]nn.Neighbor, n)
+	backing := make([]nn.Neighbor, n*k)
+	for qi := range out {
+		out[qi] = backing[qi*k : qi*k : (qi+1)*k]
+	}
+	return out
+}
+
+// searchAll runs a k-bounded spec for every query as one batch on one
+// worker, into freshly carved result regions.
+func searchAll(t *Tree, queries []geom.Point, spec Spec) ([][]nn.Neighbor, SearchStats) {
+	out := batchRegions(len(queries), spec.K)
+	stats, _, _ := t.SearchBatch(queries, spec, 1, out, nil)
+	return out, stats
 }
 
 func TestBuildPanicsOnEmpty(t *testing.T) {
@@ -117,7 +138,7 @@ func TestSearchExactMatchesLinear(t *testing.T) {
 	queries := clusteredPoints(100, 9)
 	for _, q := range queries {
 		want := linear.Search(pts, q, 5)
-		got, _ := tree.SearchExact(q, 5)
+		got, _ := tree.Search(q, Spec{Mode: Exact, K: 5})
 		if len(got) != len(want) {
 			t.Fatalf("len mismatch: %d vs %d", len(got), len(want))
 		}
@@ -134,7 +155,7 @@ func TestSearchApproxFindsSelf(t *testing.T) {
 	tree := mustBuild(t, pts, Config{BucketSize: 64}, 11)
 	for i := 0; i < 50; i++ {
 		q := pts[i*17]
-		res, stats := tree.SearchApprox(q, 1)
+		res, stats := tree.Search(q, Spec{K: 1})
 		if len(res) != 1 || res[0].DistSq != 0 {
 			t.Fatalf("self search failed for %v: %+v", q, res)
 		}
@@ -180,7 +201,7 @@ func TestSearchAllApproxStats(t *testing.T) {
 	ref := clusteredPoints(2048, 18)
 	queries := clusteredPoints(128, 19)
 	tree := mustBuild(t, ref, Config{BucketSize: 128}, 20)
-	results, stats := tree.SearchAllApprox(queries, 8)
+	results, stats := searchAll(tree, queries, Spec{K: 8})
 	if len(results) != len(queries) {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -200,8 +221,8 @@ func TestSearchExactScansLessThanLinearButMoreThanApprox(t *testing.T) {
 	ref := clusteredPoints(4096, 21)
 	queries := clusteredPoints(64, 22)
 	tree := mustBuild(t, ref, Config{BucketSize: 128}, 23)
-	_, exact := tree.SearchAllExact(queries, 5)
-	_, approx := tree.SearchAllApprox(queries, 5)
+	_, exact := searchAll(tree, queries, Spec{Mode: Exact, K: 5})
+	_, approx := searchAll(tree, queries, Spec{K: 5})
 	if exact.PointsScanned <= approx.PointsScanned {
 		t.Errorf("exact (%d) should scan more than approx (%d)",
 			exact.PointsScanned, approx.PointsScanned)
@@ -258,7 +279,7 @@ func TestRebalanceBoundsBuckets(t *testing.T) {
 	// Every point still findable via traversal.
 	for i := 0; i < 200; i++ {
 		q := f2[i*19%len(f2)]
-		got, _ := tree.SearchApprox(q, 1)
+		got, _ := tree.Search(q, Spec{K: 1})
 		if len(got) == 0 || got[0].DistSq != 0 {
 			t.Fatalf("point %v lost after rebalance", q)
 		}
@@ -333,7 +354,7 @@ func TestDegenerateIdenticalPoints(t *testing.T) {
 	if tree.NumPoints() != 500 {
 		t.Fatalf("NumPoints = %d", tree.NumPoints())
 	}
-	res, _ := tree.SearchApprox(geom.Point{X: 1, Y: 2, Z: 3}, 3)
+	res, _ := tree.Search(geom.Point{X: 1, Y: 2, Z: 3}, Spec{K: 3})
 	if len(res) != 3 || res[0].DistSq != 0 {
 		t.Fatalf("search over identical points: %+v", res)
 	}
@@ -346,7 +367,7 @@ func TestDegenerateIdenticalPoints(t *testing.T) {
 
 func TestSinglePointTree(t *testing.T) {
 	tree := mustBuild(t, []geom.Point{{X: 5}}, DefaultConfig(), 36)
-	res, _ := tree.SearchExact(geom.Point{}, 3)
+	res, _ := tree.Search(geom.Point{}, Spec{Mode: Exact, K: 3})
 	if len(res) != 1 || res[0].Index != 0 {
 		t.Fatalf("res = %+v", res)
 	}
@@ -431,8 +452,8 @@ func TestBuildStructureThenInsertMatchesBuild(t *testing.T) {
 	// Same query → same bucket contents.
 	for i := 0; i < 50; i++ {
 		q := pts[i*29]
-		a, _ := whole.SearchApprox(q, 3)
-		b, _ := structure.SearchApprox(q, 3)
+		a, _ := whole.Search(q, Spec{K: 3})
+		b, _ := structure.Search(q, Spec{K: 3})
 		if len(a) != len(b) {
 			t.Fatal("result length mismatch")
 		}
@@ -450,7 +471,7 @@ func TestSearchRadiusMatchesBruteForce(t *testing.T) {
 	queries := clusteredPoints(40, 52)
 	for _, q := range queries {
 		for _, radius := range []float64{0.5, 2, 8} {
-			got, _ := tree.SearchRadius(q, radius)
+			got, _ := tree.Search(q, Spec{Mode: Radius, Radius: radius})
 			want := 0
 			r2 := radius * radius
 			for _, p := range pts {
@@ -478,14 +499,14 @@ func TestSearchRadiusMatchesBruteForce(t *testing.T) {
 func TestSearchRadiusPrunes(t *testing.T) {
 	pts := clusteredPoints(4096, 53)
 	tree := mustBuild(t, pts, Config{BucketSize: 64}, 54)
-	_, stats := tree.SearchRadius(pts[0], 1)
+	_, stats := tree.Search(pts[0], Spec{Mode: Radius, Radius: 1})
 	if stats.PointsScanned >= len(pts)/2 {
 		t.Errorf("small-radius search scanned %d of %d points", stats.PointsScanned, len(pts))
 	}
 }
 
 // TestSearchExactBucketsMatchesExact checks that SearchExactBuckets
-// returns SearchExact's neighbors with the plane rule's visit list and
+// returns the Exact-mode neighbors with the plane rule's visit list and
 // stats: the list matches the stats, never repeats a bucket, and holds
 // every bucket the tight rule scans and more.
 func TestSearchExactBucketsMatchesExact(t *testing.T) {
@@ -493,7 +514,7 @@ func TestSearchExactBucketsMatchesExact(t *testing.T) {
 	tree := mustBuild(t, pts, Config{BucketSize: 64}, 56)
 	queries := clusteredPoints(50, 57)
 	for _, q := range queries {
-		wantRes, tightStats := tree.SearchExact(q, 5)
+		wantRes, tightStats := tree.Search(q, Spec{Mode: Exact, K: 5})
 		_, wantStats := refSearchExact(tree, q, 5)
 		gotRes, buckets, gotStats := tree.SearchExactBuckets(q, 5)
 		if len(gotRes) != len(wantRes) {
@@ -501,7 +522,7 @@ func TestSearchExactBucketsMatchesExact(t *testing.T) {
 		}
 		for i := range wantRes {
 			if gotRes[i] != wantRes[i] {
-				t.Fatal("results differ from SearchExact")
+				t.Fatal("results differ from Exact mode")
 			}
 		}
 		if gotStats != wantStats {
@@ -534,7 +555,7 @@ func TestSearchChecksInterpolatesAccuracy(t *testing.T) {
 		hits := 0
 		for _, q := range queries {
 			exact := linear.Search(ref, q, 1)
-			res, _ := tree.SearchChecks(q, 1, checks)
+			res, _ := tree.Search(q, Spec{Mode: Checks, K: 1, Checks: checks})
 			if len(res) > 0 && res[0].Index == exact[0].Index {
 				hits++
 			}
@@ -557,8 +578,8 @@ func TestSearchChecksZeroEqualsApprox(t *testing.T) {
 	tree := mustBuild(t, ref, Config{BucketSize: 128}, 64)
 	for i := 0; i < 50; i++ {
 		q := clusteredPoints(1, int64(65+i))[0]
-		a, aStats := tree.SearchApprox(q, 5)
-		c, cStats := tree.SearchChecks(q, 5, 0)
+		a, aStats := tree.Search(q, Spec{K: 5})
+		c, cStats := tree.Search(q, Spec{Mode: Checks, K: 5, Checks: 0})
 		if cStats.BucketsVisited != 1 || cStats.PointsScanned != aStats.PointsScanned {
 			t.Fatalf("checks=0 should scan exactly the primary bucket: %+v vs %+v", cStats, aStats)
 		}
@@ -567,7 +588,7 @@ func TestSearchChecksZeroEqualsApprox(t *testing.T) {
 		}
 		for j := range a {
 			if a[j] != c[j] {
-				t.Fatal("checks=0 results differ from SearchApprox")
+				t.Fatal("checks=0 results differ from Approx mode")
 			}
 		}
 	}
@@ -576,7 +597,7 @@ func TestSearchChecksZeroEqualsApprox(t *testing.T) {
 func TestSearchChecksBudgetRespected(t *testing.T) {
 	ref := clusteredPoints(8000, 66)
 	tree := mustBuild(t, ref, Config{BucketSize: 128}, 67)
-	_, stats := tree.SearchChecks(geom.Point{X: 1, Y: 2}, 5, 500)
+	_, stats := tree.Search(geom.Point{X: 1, Y: 2}, Spec{Mode: Checks, K: 5, Checks: 500})
 	// One bucket of overshoot is allowed (the budget is checked between
 	// bucket visits), never more.
 	if stats.PointsScanned > 500+2*128 {

@@ -40,7 +40,7 @@ func TestPropertyExactEqualsBruteForce(t *testing.T) {
 				Z: rng.Float32()*8 - 1,
 			}
 			want := linear.Search(pts, q, k)
-			got, _ := tree.SearchExact(q, k)
+			got, _ := tree.Search(q, Spec{Mode: Exact, K: k})
 			if len(got) != len(want) {
 				return false
 			}
@@ -116,8 +116,8 @@ func TestPropertyApproxNeverBeatsExact(t *testing.T) {
 		tree := Build(pts, Config{BucketSize: 32}, rand.New(rand.NewSource(seed)))
 		rng := rand.New(rand.NewSource(seed + 3))
 		q := geom.Point{X: rng.Float32()*100 - 50, Y: rng.Float32()*100 - 50}
-		exact, _ := tree.SearchExact(q, 5)
-		approx, _ := tree.SearchApprox(q, 5)
+		exact, _ := tree.Search(q, Spec{Mode: Exact, K: 5})
+		approx, _ := tree.Search(q, Spec{K: 5})
 		for i := range approx {
 			if i < len(exact) && approx[i].DistSq < exact[i].DistSq {
 				return false
@@ -130,12 +130,12 @@ func TestPropertyApproxNeverBeatsExact(t *testing.T) {
 	}
 }
 
-// SearchRadius with an infinite-ish radius returns everything, sorted.
+// Radius mode with an infinite-ish radius returns everything, sorted.
 func TestPropertyRadiusCompleteness(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		pts := pointsFromSeed(seed, nRaw)
 		tree := Build(pts, Config{BucketSize: 32}, rand.New(rand.NewSource(seed)))
-		res, _ := tree.SearchRadius(geom.Point{}, 1e6)
+		res, _ := tree.Search(geom.Point{}, Spec{Mode: Radius, Radius: 1e6})
 		if len(res) != len(pts) {
 			return false
 		}

@@ -189,7 +189,7 @@ func refRebuildNode(t *Tree, idx int32, s pointSet, axis geom.Axis, target int, 
 }
 
 // refSearchExactTight is the recursive backtracking search under the
-// tight rule, the oracle for SearchExact's answers and stats (the
+// tight rule, the oracle for Exact mode's answers and stats (the
 // plane-rule oracle, refSearchExact in equivalence_test.go, pins
 // SearchExactBuckets). A far child carries its parent's per-axis offsets
 // with the split axis replaced by the split offset, and is entered only

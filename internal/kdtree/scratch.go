@@ -10,8 +10,8 @@ import (
 // the running top-k candidate list, the exact search's stack of deferred
 // cells, the radius search's node stack, and the typed best-bin-first
 // branch heap. A zero Scratch is ready to use; after one warm-up query at
-// a given k, every subsequent search through a *Into entry point
-// performs zero heap allocations (guarded by testing.AllocsPerRun in
+// a given k, every subsequent SearchInto or SearchBatch on it performs
+// zero heap allocations (guarded by testing.AllocsPerRun in
 // alloc_test.go).
 //
 // A Scratch must not be shared by concurrent searches. The scratch-pooling
@@ -82,9 +82,9 @@ func (s *Scratch) worst() (float64, bool) {
 // retained for the lifetime of the value.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// scratchPool backs the non-Into convenience entry points (SearchApprox,
-// SearchExact, ...), so even they stop allocating traversal state per
-// query — only their returned result slices remain.
+// scratchPool backs Search, the batch workers and MeasureAccuracy, so
+// none of them allocates traversal state per query — Search allocates
+// only its returned result slice.
 var scratchPool = sync.Pool{New: func() interface{} { return NewScratch() }}
 
 func getScratch() *Scratch  { return scratchPool.Get().(*Scratch) }
@@ -112,7 +112,7 @@ type branch struct {
 
 // branchHeap is a typed min-heap of deferred branches ordered by bound.
 // It replicates container/heap's sift algorithms exactly — including
-// tie-breaking behavior — so SearchChecks visits buckets in precisely the
+// tie-breaking behavior — so Checks mode visits buckets in precisely the
 // order the previous container/heap implementation did, without the
 // interface{} boxing that cost one heap allocation per deferred branch.
 type branchHeap []branch

@@ -9,10 +9,10 @@ import (
 // (explicit node stack or typed branch heap, no recursion) and runs out of
 // a reusable Scratch, so a warm search performs zero heap allocations:
 //
-//   - the *Into entry points append results to a caller-owned dst slice
-//     and are the allocation-free API (see docs/performance.md);
-//   - the classic entry points (SearchApprox, SearchExact, ...) wrap them
-//     with a pooled Scratch and allocate only the returned slice;
+//   - SearchInto is the one single-query entry point: a Spec selects the
+//     mode, results append to a caller-owned dst slice, and it is the
+//     allocation-free API (see docs/performance.md); Search wraps it
+//     with a pooled Scratch and allocates only the returned slice;
 //   - an optional stop predicate (polled once per bucket visit) threads
 //     the root package's context cancellation through without kdtree
 //     importing the context package.
@@ -143,55 +143,102 @@ func (t *Tree) appendCands(dst []nn.Neighbor, cs []cand) []nn.Neighbor {
 	return dst
 }
 
-// ------------------------------------------------------------ approximate
+// ------------------------------------------------------------ entry points
 
-// SearchApprox performs the paper's approximate search: traverse to the
-// single most likely bucket and scan only it. Results are nearest-first
-// and at most min(k, bucket size) long.
-func (t *Tree) SearchApprox(query geom.Point, k int) ([]nn.Neighbor, SearchStats) {
+// Mode selects the search a Spec runs.
+type Mode uint8
+
+const (
+	// Approx is the paper's approximate search: descend to the query's
+	// single most likely bucket and scan only it. Results are
+	// nearest-first and at most min(K, bucket size) long.
+	Approx Mode = iota
+	// Exact is the exact k-nearest-neighbor search: approximate descent
+	// plus backtracking ("with a so-called backtracking method, the k-d
+	// tree method becomes an exact method", §2.2).
+	Exact
+	// Checks is the best-bin-first search of FLANN (the paper's CPU
+	// baseline): after the primary descent, the nearest deferred
+	// branches are explored until at least Spec.Checks reference points
+	// have been examined. Checks=0 degenerates to Approx's single
+	// bucket; Checks >= N approaches Exact. It interpolates the
+	// accuracy/latency trade-off between the two hardware modes.
+	Checks
+	// Radius returns every indexed point within Spec.Radius of the query
+	// (exact, via backtracking), nearest first with ties broken on index.
+	Radius
+)
+
+// Spec parameterizes a search: the mode plus the knobs it reads. The
+// zero value's mode is Approx.
+type Spec struct {
+	Mode Mode
+	// K is the neighbor count of the k-bounded modes (must be > 0 there).
+	K int
+	// Checks is Checks mode's reference-point budget.
+	Checks int
+	// Radius is Radius mode's search radius.
+	Radius float64
+}
+
+// Search runs one spec search with a pooled Scratch and returns its
+// neighbors, nearest first, with the work it performed.
+func (t *Tree) Search(query geom.Point, spec Spec) ([]nn.Neighbor, SearchStats) {
 	s := getScratch()
-	res, stats := t.SearchApproxInto(query, k, s, nil)
+	res, stats, _ := t.SearchInto(query, spec, s, nil, nil)
 	putScratch(s)
 	return res, stats
 }
 
-// SearchApproxInto is SearchApprox appending its results to dst (which may
-// be nil) and running entirely out of s: with a warm Scratch and a dst of
-// capacity >= k it performs zero heap allocations.
-func (t *Tree) SearchApproxInto(query geom.Point, k int, s *Scratch, dst []nn.Neighbor) ([]nn.Neighbor, SearchStats) {
-	s.initCands(k)
-	stats := t.searchApproxInto(query, s)
-	return t.appendCands(dst, s.cands), stats
+// SearchInto is the allocation-free form of Search: it appends the
+// query's neighbors to dst (which may be nil) and runs entirely out of
+// s. With a warm Scratch and, in the k-bounded modes, a dst of capacity
+// >= K it performs zero heap allocations; Radius mode's result count is
+// data-dependent, so an undersized dst may still grow.
+//
+// stop, when non-nil, is polled before every bucket scan in Exact and
+// Radius mode and before every deferred-branch descent in Checks mode;
+// Approx mode scans one bucket and never polls it. A true return
+// abandons the search (stopped=true): dst comes back unextended, a nil
+// dst stays nil, and stats keep the partial counts.
+func (t *Tree) SearchInto(query geom.Point, spec Spec, s *Scratch, dst []nn.Neighbor, stop func() bool) (res []nn.Neighbor, stats SearchStats, stopped bool) {
+	return t.search(query, spec, -1, 0, s, dst, stop)
 }
 
-// searchApproxInto scans the query's bucket into s's prepared candidate
-// list, allowing callers to reuse the list across calls.
-func (t *Tree) searchApproxInto(query geom.Point, s *Scratch) SearchStats {
-	_, b, depth := t.FindLeaf(query)
-	scanned := t.scanBucket(b, query, s)
-	return SearchStats{TraversalSteps: depth, PointsScanned: scanned, BucketsVisited: 1}
+// search is the one per-query mode dispatch behind SearchInto and the
+// batch runner. leaf is the query's primary bucket when the caller has
+// already descended to it (at the given depth), or -1 to make Approx
+// mode descend itself; the other modes ignore both.
+func (t *Tree) search(query geom.Point, spec Spec, leaf int32, depth int, s *Scratch, dst []nn.Neighbor, stop func() bool) (res []nn.Neighbor, stats SearchStats, stopped bool) {
+	switch spec.Mode {
+	case Approx:
+		s.initCands(spec.K)
+		if leaf < 0 {
+			_, leaf, depth = t.FindLeaf(query)
+		}
+		stats = SearchStats{TraversalSteps: depth, PointsScanned: t.scanBucket(leaf, query, s), BucketsVisited: 1}
+	case Exact:
+		s.initCands(spec.K)
+		stopped = t.searchExactCore(query, tightBounds, s, &stats, stop, nil)
+	case Checks:
+		// stats holds this query's work alone, so the budget counts
+		// only its points.
+		s.initCands(spec.K)
+		stopped = t.searchChecksCore(query, spec.Checks, s, &stats, stop)
+	case Radius:
+		res, stopped = t.searchRadiusCore(query, spec.Radius, s, dst, &stats, stop)
+		if stopped {
+			return dst, stats, true
+		}
+		return res, stats, false
+	}
+	if stopped {
+		return dst, stats, true
+	}
+	return t.appendCands(dst, s.cands), stats, false
 }
 
 // ------------------------------------------------------------------ exact
-
-// SearchExact performs the exact k-nearest-neighbor search: approximate
-// descent plus backtracking ("with a so-called backtracking method, the
-// k-d tree method becomes an exact method", §2.2).
-func (t *Tree) SearchExact(query geom.Point, k int) ([]nn.Neighbor, SearchStats) {
-	s := getScratch()
-	res, stats := t.SearchExactInto(query, k, s, nil)
-	putScratch(s)
-	return res, stats
-}
-
-// SearchExactInto is SearchExact appending its results to dst and running
-// out of s (zero allocations once both are warm).
-func (t *Tree) SearchExactInto(query geom.Point, k int, s *Scratch, dst []nn.Neighbor) ([]nn.Neighbor, SearchStats) {
-	s.initCands(k)
-	var stats SearchStats
-	t.searchExactCore(query, tightBounds, s, &stats, nil, nil)
-	return t.appendCands(dst, s.cands), stats
-}
 
 // exactRule selects how searchExactCore prunes.
 type exactRule uint8
@@ -284,12 +331,13 @@ func (t *Tree) searchExactCore(query geom.Point, rule exactRule, s *Scratch, sta
 	return false
 }
 
-// SearchExactBuckets is SearchExact instrumented with the list of bucket
-// ids the backtracking visited, in visit order. The architecture models
-// use it to drive the exact-search hardware comparison (each visited
-// bucket is one more bucket fetch + FU pass), so it prunes by the split
-// planes alone, as that hardware does: its answers equal SearchExact's,
-// its visit list and stats are the plane rule's.
+// SearchExactBuckets is the Exact-mode search instrumented with the list
+// of bucket ids the backtracking visited, in visit order. The
+// architecture models use it to drive the exact-search hardware
+// comparison (each visited bucket is one more bucket fetch + FU pass), so
+// it prunes by the split planes alone, as that hardware does: its answers
+// equal Search's in Exact mode, its visit list and stats are the plane
+// rule's.
 func (t *Tree) SearchExactBuckets(query geom.Point, k int) ([]nn.Neighbor, []int32, SearchStats) {
 	s := getScratch()
 	defer putScratch(s)
@@ -301,25 +349,6 @@ func (t *Tree) SearchExactBuckets(query geom.Point, k int) ([]nn.Neighbor, []int
 }
 
 // ----------------------------------------------------------------- radius
-
-// SearchRadius returns every indexed point within radius of the query
-// (exact, via backtracking), nearest first with ties broken on index.
-func (t *Tree) SearchRadius(query geom.Point, radius float64) ([]nn.Neighbor, SearchStats) {
-	s := getScratch()
-	res, stats := t.SearchRadiusInto(query, radius, s, nil)
-	putScratch(s)
-	return res, stats
-}
-
-// SearchRadiusInto is SearchRadius appending its results to dst and
-// running its traversal out of s. Unlike the k-bounded searches the
-// result count is data-dependent, so dst may still grow (and allocate)
-// when undersized.
-func (t *Tree) SearchRadiusInto(query geom.Point, radius float64, s *Scratch, dst []nn.Neighbor) ([]nn.Neighbor, SearchStats) {
-	var stats SearchStats
-	out, _ := t.searchRadiusCore(query, radius, s, dst, &stats, nil)
-	return out, stats
-}
 
 // searchRadiusCore is the iterative in-radius scan: a DFS with the far
 // child pushed before the near one, reproducing the recursive left-first
@@ -371,28 +400,6 @@ func (t *Tree) searchRadiusCore(query geom.Point, radius float64, s *Scratch, ds
 
 // ----------------------------------------------------------------- checks
 
-// SearchChecks is the best-bin-first approximate search of FLANN (the
-// paper's CPU baseline): after the primary descent, the nearest deferred
-// branches are explored until at least `checks` reference points have
-// been examined. checks=0 degenerates to SearchApprox's single bucket;
-// checks ≥ N approaches the exact result. It interpolates the
-// accuracy/latency trade-off between the two hardware search modes.
-func (t *Tree) SearchChecks(query geom.Point, k, checks int) ([]nn.Neighbor, SearchStats) {
-	s := getScratch()
-	res, stats := t.SearchChecksInto(query, k, checks, s, nil)
-	putScratch(s)
-	return res, stats
-}
-
-// SearchChecksInto is SearchChecks appending its results to dst and
-// running out of s (zero allocations once both are warm).
-func (t *Tree) SearchChecksInto(query geom.Point, k, checks int, s *Scratch, dst []nn.Neighbor) ([]nn.Neighbor, SearchStats) {
-	s.initCands(k)
-	var stats SearchStats
-	t.searchChecksCore(query, checks, s, &stats, nil)
-	return t.appendCands(dst, s.cands), stats
-}
-
 // searchChecksCore is the iterative best-bin-first loop over the typed
 // branch heap in s. stop, when non-nil, is polled once per deferred-
 // branch descent (each descent ends in one bucket scan).
@@ -432,41 +439,4 @@ func (t *Tree) searchChecksCore(query geom.Point, checks int, s *Scratch, stats 
 	}
 	s.heap = h[:0]
 	return false
-}
-
-// ---------------------------------------------------------------- batches
-
-// SearchAllApprox runs the approximate search for every query, returning
-// per-query results and the summed stats — the successive-frame workload.
-// Queries execute in leaf-grouped order (batch.go) so each bucket's arena
-// span is scanned while cache-resident; all result neighbors share one
-// flat backing array (one allocation per batch, not per query) and one
-// Scratch serves the whole batch.
-func (t *Tree) SearchAllApprox(queries []geom.Point, k int) ([][]nn.Neighbor, SearchStats) {
-	out := batchRegions(len(queries), k)
-	stats, _ := t.SearchApproxBatch(queries, k, 1, out, nil)
-	return out, stats
-}
-
-// SearchAllExact runs the exact search for every query, with the same
-// leaf-grouped order and shared-scratch, flat-backing layout as
-// SearchAllApprox.
-func (t *Tree) SearchAllExact(queries []geom.Point, k int) ([][]nn.Neighbor, SearchStats) {
-	out := batchRegions(len(queries), k)
-	stats, _ := t.SearchExactBatch(queries, k, 1, out, nil)
-	return out, stats
-}
-
-// batchRegions carves one flat backing array of n*k records into n
-// zero-length, capacity-k views. Each view can never reallocate (every
-// k-bounded search returns at most k neighbors) and never aliases a
-// neighboring query's span, so grouped — even parallel — execution appends
-// into them safely.
-func batchRegions(n, k int) [][]nn.Neighbor {
-	out := make([][]nn.Neighbor, n)
-	backing := make([]nn.Neighbor, n*k)
-	for qi := range out {
-		out[qi] = backing[qi*k : qi*k : (qi+1)*k]
-	}
-	return out
 }

@@ -72,8 +72,8 @@ func TestSerializeRoundTripExact(t *testing.T) {
 	// Bit-identical search behaviour.
 	queries := clusteredPoints(100, 72)
 	for _, q := range queries {
-		a, _ := tree.SearchApprox(q, 5)
-		b, _ := loaded.SearchApprox(q, 5)
+		a, _ := tree.Search(q, Spec{K: 5})
+		b, _ := loaded.Search(q, Spec{K: 5})
 		if len(a) != len(b) {
 			t.Fatal("result length mismatch")
 		}
@@ -82,8 +82,8 @@ func TestSerializeRoundTripExact(t *testing.T) {
 				t.Fatal("approx results differ after round trip")
 			}
 		}
-		ea, _ := tree.SearchExact(q, 5)
-		eb, _ := loaded.SearchExact(q, 5)
+		ea, _ := tree.Search(q, Spec{Mode: Exact, K: 5})
+		eb, _ := loaded.Search(q, Spec{Mode: Exact, K: 5})
 		for i := range ea {
 			if ea[i] != eb[i] {
 				t.Fatal("exact results differ after round trip")

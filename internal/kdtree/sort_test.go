@@ -25,7 +25,7 @@ func TestSearchRadiusOrdered(t *testing.T) {
 	}
 	tree := Build(pts, Config{BucketSize: 32}, rand.New(rand.NewSource(12)))
 	for _, q := range []geom.Point{{}, {X: 3, Y: 3, Z: 1}, {X: 6.5, Y: 0.5, Z: 2}} {
-		res, _ := tree.SearchRadius(q, 4)
+		res, _ := tree.Search(q, Spec{Mode: Radius, Radius: 4})
 		if len(res) == 0 {
 			t.Fatalf("query %v: no matches at radius 4 in a 7x7x3 grid", q)
 		}

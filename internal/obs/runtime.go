@@ -10,7 +10,7 @@ import (
 // most common missing variable — was the spike ours, or was it a GC
 // pause / heap growth episode? The flight recorder answers "which phase
 // of which request"; these gauges answer "what was the runtime doing at
-// the time". quicknnd samples them at every /metrics scrape and can
+// the time". quicknnd samples them at every /v1/metrics scrape and can
 // additionally sample on a fixed period (-runtime-sample).
 
 // SampleRuntime reads the Go runtime's memory and scheduler statistics

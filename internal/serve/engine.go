@@ -282,7 +282,9 @@ func (e *Engine) Index() *quicknn.Index {
 // background of the read path, then swaps it in atomically. Readers keep
 // searching the previous epoch throughout; the previous epoch is retired
 // once its last in-flight query drains. Advances are serialized with each
-// other but never block queries.
+// other but never block queries. A frame with a NaN or infinite
+// coordinate is refused with quicknn.ErrInvalidPoint, and the current
+// epoch stays.
 func (e *Engine) Advance(ctx context.Context, frame []quicknn.Point) (FrameInfo, error) {
 	// Fault seam: a firing FrameCorrupt rule truncates the frame to a
 	// deterministic prefix; an empty prefix surfaces as the typed
@@ -323,9 +325,12 @@ func (e *Engine) Advance(ctx context.Context, frame []quicknn.Point) (FrameInfo,
 		ix.SetParallelism(e.cfg.IngestWorkers)
 		switch e.cfg.Maintenance {
 		case MaintStatic:
-			ix.UpdateStatic(frame)
+			err = ix.UpdateStatic(frame)
 		default:
-			ix.Update(frame)
+			err = ix.Update(frame)
+		}
+		if err != nil {
+			return FrameInfo{}, err
 		}
 	}
 	buildSec := sw.Seconds()

@@ -39,6 +39,34 @@ func mustAdvance(t *testing.T, e *Engine, f, n int, rng *rand.Rand) FrameInfo {
 	return info
 }
 
+// TestAdvanceRefusesNonFinitePoints checks that a frame with a NaN or
+// infinite coordinate is refused with quicknn.ErrInvalidPoint under every
+// maintenance mode, on the first frame and later, and that the current
+// epoch stays.
+func TestAdvanceRefusesNonFinitePoints(t *testing.T) {
+	for _, maint := range []Maintenance{MaintRebuild, MaintStatic, MaintIncremental} {
+		e := NewEngine(Config{Maintenance: maint, Workers: 1})
+		rng := rand.New(rand.NewSource(31))
+		bad := taggedFrame(1, 300, rng)
+		bad[17].X = float32(math.Inf(-1))
+		if _, err := e.Advance(context.Background(), bad); !errors.Is(err, quicknn.ErrInvalidPoint) {
+			t.Fatalf("maintenance %d: first frame Advance = %v, want ErrInvalidPoint", maint, err)
+		}
+		if e.Epoch() != 0 {
+			t.Fatalf("maintenance %d: epoch %d after a refused first frame, want 0", maint, e.Epoch())
+		}
+		mustAdvance(t, e, 1, 300, rng)
+		bad[17].X = float32(math.NaN())
+		if _, err := e.Advance(context.Background(), bad); !errors.Is(err, quicknn.ErrInvalidPoint) {
+			t.Fatalf("maintenance %d: Advance = %v, want ErrInvalidPoint", maint, err)
+		}
+		if e.Epoch() != 1 {
+			t.Fatalf("maintenance %d: epoch %d after a refused frame, want 1", maint, e.Epoch())
+		}
+		e.Close(context.Background())
+	}
+}
+
 // TestConcurrentQueriesAcrossFrameSwaps is the epoch-snapshot race test:
 // >= 4 concurrent query workers run against the engine while the frame
 // loop performs >= 10 epoch swaps. Every request must succeed (zero

@@ -13,7 +13,8 @@ import (
 // ReadFrameCSV parses a point cloud from CSV: one point per line as
 // "x,y,z" (extra columns such as intensity are ignored; blank lines and
 // lines starting with '#' are skipped). This matches cmd/datagen's output
-// and the common export format of LiDAR datasets.
+// and the common export format of LiDAR datasets. A NaN or infinite
+// coordinate is refused with ErrInvalidPoint.
 func ReadFrameCSV(r io.Reader) ([]Point, error) {
 	var pts []Point
 	sc := bufio.NewScanner(r)
@@ -41,6 +42,9 @@ func ReadFrameCSV(r io.Reader) ([]Point, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("quicknn: reading frame: %v", err)
+	}
+	if err := checkFinite(pts); err != nil {
+		return nil, err
 	}
 	return pts, nil
 }
@@ -83,7 +87,8 @@ func WriteFrameBinary(w io.Writer, pts []Point) error {
 	return bw.Flush()
 }
 
-// ReadFrameBinary reads a point cloud written by WriteFrameBinary.
+// ReadFrameBinary reads a point cloud written by WriteFrameBinary. A NaN
+// or infinite coordinate is refused with ErrInvalidPoint.
 func ReadFrameBinary(r io.Reader) ([]Point, error) {
 	br := bufio.NewReader(r)
 	var hdr [8]byte
@@ -109,6 +114,9 @@ func ReadFrameBinary(r io.Reader) ([]Point, error) {
 			Y: math.Float32frombits(binary.LittleEndian.Uint32(rec[4:8])),
 			Z: math.Float32frombits(binary.LittleEndian.Uint32(rec[8:12])),
 		}
+	}
+	if err := checkFinite(pts); err != nil {
+		return nil, err
 	}
 	return pts, nil
 }

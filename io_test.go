@@ -91,8 +91,8 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 
 func TestSearchRadiusFacade(t *testing.T) {
 	ref, _ := SuccessiveFrames(3000, 4)
-	ix := NewIndex(ref)
-	res := ix.SearchRadius(ref[10], 2.0)
+	ix := mustIndex(t, ref)
+	res := mustQuery(t, ix, ref[10], QueryOptions{Mode: ModeRadius, Radius: 2.0})
 	if len(res) == 0 || res[0].DistSq != 0 {
 		t.Fatalf("radius search should find the point itself: %+v", res[:min(len(res), 3)])
 	}
@@ -112,7 +112,7 @@ func min(a, b int) int {
 
 func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	ref, qry := SuccessiveFrames(3000, 50)
-	ix := NewIndex(ref, WithBucketSize(128))
+	ix := mustIndex(t, ref, WithBucketSize(128))
 	var buf bytes.Buffer
 	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -126,8 +126,8 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < 60; i++ {
 		q := qry[i*47%len(qry)]
-		a := ix.Search(q, 5)
-		b := loaded.Search(q, 5)
+		a := mustQuery(t, ix, q, QueryOptions{K: 5})
+		b := mustQuery(t, loaded, q, QueryOptions{K: 5})
 		if len(a) != len(b) {
 			t.Fatal("length mismatch")
 		}
@@ -138,12 +138,14 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	// The reconstructed reference slice maps neighbor indices correctly.
-	res := loaded.Search(qry[0], 1)
+	res := mustQuery(t, loaded, qry[0], QueryOptions{K: 1})
 	if res[0].Point != loaded.Points()[res[0].Index] {
 		t.Error("reference reconstruction broke index mapping")
 	}
 	// Loaded indexes stay updatable.
-	loaded.Update(qry)
+	if err := loaded.Update(qry); err != nil {
+		t.Fatal(err)
+	}
 	if loaded.Len() != len(qry) {
 		t.Errorf("update after load: %d points", loaded.Len())
 	}

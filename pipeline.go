@@ -90,7 +90,7 @@ func (p *Pipeline) Index() *Index { return p.index }
 
 // Process ingests the next frame and returns its result. It delegates to
 // ProcessCtx with a background context and panics on the errors ProcessCtx
-// reports (an empty frame), preserving the original panicking contract.
+// reports (an empty frame or a non-finite point).
 func (p *Pipeline) Process(frame []Point) FrameResult {
 	res, err := p.ProcessCtx(context.Background(), frame)
 	if err != nil {
@@ -101,11 +101,12 @@ func (p *Pipeline) Process(frame []Point) FrameResult {
 
 // ProcessCtx ingests the next frame and returns its result. It is the
 // error-returning, context-aware form of Process: an empty frame is
-// rejected with ErrEmptyInput (the stream's frame counter does not
-// advance), and ctx cancellation is honored mid-search — the per-frame
-// kNN fan-out checks ctx between query chunks and returns ctx.Err(),
-// leaving the index on the previous frame so the caller can retry or
-// drop the frame.
+// rejected with ErrEmptyInput and a frame with a NaN or infinite
+// coordinate with ErrInvalidPoint (the stream's frame counter does not
+// advance, and the index stays on the previous frame), and ctx
+// cancellation is honored mid-search — the per-frame kNN fan-out checks
+// ctx between query chunks and returns ctx.Err(), leaving the index on
+// the previous frame so the caller can retry or drop the frame.
 func (p *Pipeline) ProcessCtx(ctx context.Context, frame []Point) (FrameResult, error) {
 	if len(frame) == 0 {
 		return FrameResult{}, fmt.Errorf("%w (frame %d is empty)", ErrEmptyInput, p.count)
@@ -116,13 +117,9 @@ func (p *Pipeline) ProcessCtx(ctx context.Context, frame []Point) (FrameResult, 
 	res := FrameResult{FrameIndex: p.count}
 	if p.index == nil {
 		sw := obs.StartStopwatch()
-		ix, err := BuildIndex(frame,
-			WithBucketSize(p.cfg.BucketSize), WithSeed(p.cfg.Seed),
-			WithParallelism(p.cfg.IngestWorkers))
-		if err != nil {
+		if err := p.advance(frame); err != nil {
 			return FrameResult{}, err
 		}
-		p.index = ix
 		p.count++
 		res.IndexStats = p.index.Stats()
 		p.record(frame, sw.Seconds(), 0)
@@ -142,8 +139,10 @@ func (p *Pipeline) ProcessCtx(ctx context.Context, frame []Point) (FrameResult, 
 	res.Neighbors = neighbors
 	searchSec := sw.Seconds()
 	sw = obs.StartStopwatch()
+	if err := p.advance(frame); err != nil {
+		return FrameResult{}, err
+	}
 	p.count++
-	p.advance(frame)
 	res.IndexStats = p.index.Stats()
 	p.record(frame, sw.Seconds(), searchSec)
 	return res, nil
@@ -228,16 +227,24 @@ func (p *Pipeline) record(frame []Point, buildSec, searchSec float64) {
 	})
 }
 
-// advance moves the index to the new frame per the maintenance mode.
-func (p *Pipeline) advance(frame []Point) {
-	switch p.cfg.Mode {
-	case qsim.ModeStatic:
-		p.index.UpdateStatic(frame)
-	case qsim.ModeIncremental:
-		p.index.Update(frame)
-	default:
-		p.index = NewIndex(frame,
-			WithBucketSize(p.cfg.BucketSize), WithSeed(p.cfg.Seed),
-			WithParallelism(p.cfg.IngestWorkers))
+// advance moves the index to the new frame per the maintenance mode,
+// building it on the first frame. On error the index stays on the
+// previous frame.
+func (p *Pipeline) advance(frame []Point) error {
+	if p.index != nil {
+		switch p.cfg.Mode {
+		case qsim.ModeStatic:
+			return p.index.UpdateStatic(frame)
+		case qsim.ModeIncremental:
+			return p.index.Update(frame)
+		}
 	}
+	ix, err := BuildIndex(frame,
+		WithBucketSize(p.cfg.BucketSize), WithSeed(p.cfg.Seed),
+		WithParallelism(p.cfg.IngestWorkers))
+	if err != nil {
+		return err
+	}
+	p.index = ix
+	return nil
 }

@@ -76,7 +76,7 @@ func TestPipelineNilSinkUnchanged(t *testing.T) {
 // TestIndexDepth covers the Depth accessor the pipeline metrics use.
 func TestIndexDepth(t *testing.T) {
 	pts := SyntheticFrames(2000, 1, 3)[0]
-	ix := NewIndex(pts, WithBucketSize(64))
+	ix := mustIndex(t, pts, WithBucketSize(64))
 	if d := ix.Depth(); d <= 0 {
 		t.Fatalf("Depth = %d, want > 0 for %d points with bucket 64", d, len(pts))
 	}

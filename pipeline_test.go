@@ -21,13 +21,13 @@ func TestPipelineSearchesAgainstPreviousFrame(t *testing.T) {
 	frames := SyntheticFrames(3000, 3, 61)
 	p := NewPipeline(PipelineConfig{K: 4})
 	p.Process(frames[0])
-	prevIndex := NewIndex(frames[0]) // independent reference
+	prevIndex := mustIndex(t, frames[0]) // independent reference
 	res := p.Process(frames[1])
 	if len(res.Neighbors) != len(frames[1]) {
 		t.Fatalf("neighbors = %d", len(res.Neighbors))
 	}
 	for qi := 0; qi < len(frames[1]); qi += 211 {
-		want := prevIndex.Search(frames[1][qi], 4)
+		want := mustQuery(t, prevIndex, frames[1][qi], QueryOptions{K: 4})
 		got := res.Neighbors[qi]
 		if len(got) != len(want) {
 			t.Fatal("length mismatch")

@@ -80,13 +80,12 @@ func (o QueryOptions) validate() error {
 	return nil
 }
 
-// Query runs one search against the index under the given options. It is
-// the unified, context-aware entry point behind the Search/SearchExact/
-// SearchChecks/SearchRadius wrappers: invalid options surface as errors
-// wrapping ErrInvalidOptions, and ctx cancellation is honored between
-// bucket visits (the backtracking modes poll ctx once per bucket scan),
-// returning ctx.Err(). Concurrent Query calls are safe as long as no
-// Update runs concurrently.
+// Query runs one search against the index under the given options: the
+// mode (approximate, exact, checks or radius) is an option, not a method.
+// Invalid options surface as errors wrapping ErrInvalidOptions, and ctx
+// cancellation is honored between bucket visits (the backtracking modes
+// poll ctx once per bucket scan), returning ctx.Err(). Concurrent Query
+// calls are safe as long as no Update runs concurrently.
 //
 // Query borrows a pooled Scratch, so it allocates only the returned
 // slice; callers on the hot path can go all the way to zero allocations
@@ -117,28 +116,7 @@ func (ix *Index) QueryInto(ctx context.Context, q Point, opts QueryOptions, sc *
 	if sc == nil || sc.s == nil {
 		return dst, fmt.Errorf("%w: QueryInto requires a Scratch from NewScratch", ErrInvalidOptions)
 	}
-	// Only pay for the cancellation closure when ctx can actually be
-	// cancelled: Background/TODO have a nil Done channel, and the kdtree
-	// searches treat a nil stop as "never".
-	var stop func() bool
-	if ctx.Done() != nil {
-		stop = func() bool { return ctx.Err() != nil }
-	}
-	var (
-		res     []Neighbor
-		st      kdtree.SearchStats
-		stopped bool
-	)
-	switch opts.Mode {
-	case ModeApprox:
-		res, st = ix.tree.SearchApproxInto(q, opts.K, sc.s, dst)
-	case ModeExact:
-		res, st, stopped = ix.tree.SearchExactStopInto(q, opts.K, sc.s, dst, stop)
-	case ModeChecks:
-		res, st, stopped = ix.tree.SearchChecksStopInto(q, opts.K, opts.Checks, sc.s, dst, stop)
-	case ModeRadius:
-		res, st, stopped = ix.tree.SearchRadiusStopInto(q, opts.Radius, sc.s, dst, stop)
-	}
+	res, st, stopped := ix.tree.SearchInto(q, opts.spec(), sc.s, dst, stopFor(ctx))
 	sc.last = QueryStats{
 		TraversalSteps: st.TraversalSteps,
 		PointsScanned:  st.PointsScanned,
@@ -151,16 +129,27 @@ func (ix *Index) QueryInto(ctx context.Context, q Point, opts QueryOptions, sc *
 	return res, nil
 }
 
-// batchSpec maps the options onto the k-d tree's batch runner.
-func (o QueryOptions) batchSpec() kdtree.BatchSpec {
-	spec := kdtree.BatchSpec{K: o.K, Checks: o.Checks, Radius: o.Radius}
+// stopFor returns the k-d tree's stop predicate for ctx. It is nil
+// ("never") when ctx cannot be cancelled — Background and TODO have a nil
+// Done channel — so the uncancellable path pays for no closure.
+func stopFor(ctx context.Context) func() bool {
+	if ctx.Done() == nil {
+		return nil
+	}
+	return func() bool { return ctx.Err() != nil }
+}
+
+// spec maps the options onto the k-d tree's search spec, for QueryInto
+// and QueryBatchInto alike.
+func (o QueryOptions) spec() kdtree.Spec {
+	spec := kdtree.Spec{K: o.K, Checks: o.Checks, Radius: o.Radius}
 	switch o.Mode {
 	case ModeExact:
-		spec.Mode = kdtree.BatchExact
+		spec.Mode = kdtree.Exact
 	case ModeChecks:
-		spec.Mode = kdtree.BatchChecks
+		spec.Mode = kdtree.Checks
 	case ModeRadius:
-		spec.Mode = kdtree.BatchRadius
+		spec.Mode = kdtree.Radius
 	}
 	return spec
 }
@@ -228,11 +217,7 @@ func (ix *Index) QueryBatchInto(ctx context.Context, queries []Point, opts Query
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var stop func() bool
-	if ctx.Done() != nil {
-		stop = func() bool { return ctx.Err() != nil }
-	}
-	st, inserts, stopped := ix.tree.SearchBatch(queries, opts.batchSpec(), workers, results, stop)
+	st, inserts, stopped := ix.tree.SearchBatch(queries, opts.spec(), workers, results, stopFor(ctx))
 	work := QueryStats{
 		TraversalSteps: st.TraversalSteps,
 		PointsScanned:  st.PointsScanned,

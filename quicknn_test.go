@@ -1,6 +1,7 @@
 package quicknn
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,15 +9,45 @@ import (
 
 func newTestRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
+// mustIndex builds an index over pts or fails the test.
+func mustIndex(tb testing.TB, pts []Point, opts ...Option) *Index {
+	tb.Helper()
+	ix, err := BuildIndex(pts, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ix
+}
+
+// mustQuery runs one Query or fails the test.
+func mustQuery(tb testing.TB, ix *Index, q Point, opts QueryOptions) []Neighbor {
+	tb.Helper()
+	res, err := ix.Query(context.Background(), q, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// mustQueryBatch runs one QueryBatch or fails the test.
+func mustQueryBatch(tb testing.TB, ix *Index, queries []Point, opts QueryOptions) [][]Neighbor {
+	tb.Helper()
+	res, err := ix.QueryBatch(context.Background(), queries, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func TestIndexSearchFindsSelf(t *testing.T) {
 	ref, _ := SuccessiveFrames(3000, 1)
-	ix := NewIndex(ref)
+	ix := mustIndex(t, ref)
 	if ix.Len() != 3000 {
 		t.Fatalf("Len = %d", ix.Len())
 	}
 	for i := 0; i < 50; i++ {
 		q := ref[i*59]
-		res := ix.Search(q, 1)
+		res := mustQuery(t, ix, q, QueryOptions{K: 1})
 		if len(res) != 1 || res[0].DistSq != 0 {
 			t.Fatalf("self search failed: %+v", res)
 		}
@@ -25,11 +56,11 @@ func TestIndexSearchFindsSelf(t *testing.T) {
 
 func TestIndexExactMatchesBruteForce(t *testing.T) {
 	ref, qry := SuccessiveFrames(2000, 2)
-	ix := NewIndex(ref, WithBucketSize(64))
+	ix := mustIndex(t, ref, WithBucketSize(64))
 	for i := 0; i < 40; i++ {
 		q := qry[i*37]
 		want := BruteForce(ref, q, 5)
-		got := ix.SearchExact(q, 5)
+		got := mustQuery(t, ix, q, QueryOptions{K: 5, Mode: ModeExact})
 		if len(got) != len(want) {
 			t.Fatalf("lengths differ")
 		}
@@ -43,8 +74,8 @@ func TestIndexExactMatchesBruteForce(t *testing.T) {
 
 func TestIndexOptionsAffectBuild(t *testing.T) {
 	ref, _ := SuccessiveFrames(4000, 3)
-	small := NewIndex(ref, WithBucketSize(64), WithSeed(7))
-	large := NewIndex(ref, WithBucketSize(1024), WithSeed(7))
+	small := mustIndex(t, ref, WithBucketSize(64), WithSeed(7))
+	large := mustIndex(t, ref, WithBucketSize(1024), WithSeed(7))
 	if small.Stats().Mean >= large.Stats().Mean {
 		t.Error("bucket size option had no effect")
 	}
@@ -52,11 +83,15 @@ func TestIndexOptionsAffectBuild(t *testing.T) {
 
 func TestIndexUpdateModes(t *testing.T) {
 	frames := SyntheticFrames(3000, 3, 4)
-	incr := NewIndex(frames[0])
-	static := NewIndex(frames[0])
+	incr := mustIndex(t, frames[0])
+	static := mustIndex(t, frames[0])
 	for _, f := range frames[1:] {
-		incr.Update(f)
-		static.UpdateStatic(f)
+		if err := incr.Update(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := static.UpdateStatic(f); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if incr.Len() != 3000 || static.Len() != 3000 {
 		t.Fatalf("lengths after update: %d, %d", incr.Len(), static.Len())
@@ -65,10 +100,10 @@ func TestIndexUpdateModes(t *testing.T) {
 	last := frames[len(frames)-1]
 	for i := 0; i < 30; i++ {
 		q := last[i*83]
-		if res := incr.Search(q, 1); len(res) == 0 || res[0].DistSq != 0 {
+		if res := mustQuery(t, incr, q, QueryOptions{K: 1}); len(res) == 0 || res[0].DistSq != 0 {
 			t.Fatal("incremental index lost a point")
 		}
-		if res := static.Search(q, 1); len(res) == 0 || res[0].DistSq != 0 {
+		if res := mustQuery(t, static, q, QueryOptions{K: 1}); len(res) == 0 || res[0].DistSq != 0 {
 			t.Fatal("static index lost a point")
 		}
 	}
@@ -76,7 +111,7 @@ func TestIndexUpdateModes(t *testing.T) {
 
 func TestAccuracyReportSane(t *testing.T) {
 	ref, qry := SuccessiveFrames(4000, 5)
-	ix := NewIndex(ref)
+	ix := mustIndex(t, ref)
 	rep := ix.Accuracy(qry[:200], 5, 5)
 	if rep.TopKRecall < 0.5 || rep.TopKRecall > 1 {
 		t.Errorf("TopKRecall = %v", rep.TopKRecall)
@@ -144,7 +179,7 @@ func TestEstimateMotionRecoversTransform(t *testing.T) {
 	// Query frame = reference moved by the ego motion; aligning it back
 	// should recover the inverse.
 	query := truth.ApplyAll(ref)
-	ix := NewIndex(ref)
+	ix := mustIndex(t, ref)
 	res := EstimateMotion(ix, query, ICPConfig{Iterations: 30, Subsample: 2})
 	inv := truth.Inverse()
 	if math.Abs(res.Motion.Yaw-inv.Yaw) > 0.005 {
@@ -164,7 +199,7 @@ func TestEstimateMotionRecoversTransform(t *testing.T) {
 
 func TestEstimateMotionIdentityForSameFrame(t *testing.T) {
 	ref, _ := SuccessiveFrames(3000, 11)
-	ix := NewIndex(ref)
+	ix := mustIndex(t, ref)
 	res := EstimateMotion(ix, ref, ICPConfig{Iterations: 5})
 	if math.Abs(res.Motion.Yaw) > 1e-4 || res.Motion.Translation.Norm() > 1e-3 {
 		t.Errorf("same-frame motion should be ~identity: %+v", res.Motion)
@@ -183,39 +218,17 @@ func TestSimulateDriveFacade(t *testing.T) {
 	}
 }
 
-func TestSearchAllParallelMatchesSerial(t *testing.T) {
-	ref, qry := SuccessiveFrames(3000, 40)
-	ix := NewIndex(ref)
-	serial := ix.SearchAll(qry, 5)
-	for _, workers := range []int{0, 1, 3, 16} {
-		par := ix.SearchAllParallel(qry, 5, workers)
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d results", workers, len(par))
-		}
-		for qi := range serial {
-			if len(par[qi]) != len(serial[qi]) {
-				t.Fatalf("workers=%d query %d length mismatch", workers, qi)
-			}
-			for i := range serial[qi] {
-				if par[qi][i] != serial[qi][i] {
-					t.Fatalf("workers=%d query %d result %d mismatch", workers, qi, i)
-				}
-			}
-		}
-	}
-}
-
 func TestSearchChecksFacade(t *testing.T) {
 	ref, qry := SuccessiveFrames(4000, 41)
-	ix := NewIndex(ref, WithBucketSize(64))
+	ix := mustIndex(t, ref, WithBucketSize(64))
 	hits0, hitsBig := 0, 0
 	for i := 0; i < 100; i++ {
 		q := qry[i*31%len(qry)]
 		exact := BruteForce(ref, q, 1)
-		if res := ix.SearchChecks(q, 1, 0); len(res) > 0 && res[0].Index == exact[0].Index {
+		if res := mustQuery(t, ix, q, QueryOptions{K: 1, Mode: ModeChecks, Checks: 0}); len(res) > 0 && res[0].Index == exact[0].Index {
 			hits0++
 		}
-		if res := ix.SearchChecks(q, 1, 2000); len(res) > 0 && res[0].Index == exact[0].Index {
+		if res := mustQuery(t, ix, q, QueryOptions{K: 1, Mode: ModeChecks, Checks: 2000}); len(res) > 0 && res[0].Index == exact[0].Index {
 			hitsBig++
 		}
 	}

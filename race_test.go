@@ -1,22 +1,23 @@
 package quicknn
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
 )
 
 // TestSearchAllParallelRace is a regression test for the goroutine fan-out
-// in Index.SearchAllParallel: many concurrent SearchAllParallel calls run
+// of Index.QueryBatch: many concurrent multi-worker QueryBatch calls run
 // against one shared, immutable index over overlapping query slices. Under
 // `go test -race` this proves the workers only ever write disjoint result
 // slots and never mutate shared tree state; without -race it still checks
 // that every parallel result matches the serial reference answer.
 func TestSearchAllParallelRace(t *testing.T) {
 	reference, query := SuccessiveFrames(2000, 99)
-	ix := NewIndex(reference, WithSeed(7))
+	ix := mustIndex(t, reference, WithSeed(7))
 	const k = 5
-	want := ix.SearchAll(query, k)
+	want := mustQueryBatch(t, ix, query, QueryOptions{K: k, Workers: 1})
 
 	// Overlapping windows of the query set, searched concurrently with
 	// different worker counts against the same index.
@@ -28,7 +29,11 @@ func TestSearchAllParallelRace(t *testing.T) {
 			wg.Add(1)
 			go func(rep, wi, lo, hi, workers int) {
 				defer wg.Done()
-				got := ix.SearchAllParallel(query[lo:hi], k, workers)
+				got, err := ix.QueryBatch(context.Background(), query[lo:hi], QueryOptions{K: k, Workers: workers})
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
 				if len(got) != hi-lo {
 					errs <- "wrong result count"
 					return
@@ -54,16 +59,16 @@ func TestSearchAllParallelRace(t *testing.T) {
 // queries, and the serial fallback.
 func TestSearchAllParallelWorkerEdgeCases(t *testing.T) {
 	reference, query := SuccessiveFrames(300, 3)
-	ix := NewIndex(reference, WithSeed(1))
+	ix := mustIndex(t, reference, WithSeed(1))
 	const k = 3
-	want := ix.SearchAll(query, k)
+	want := mustQueryBatch(t, ix, query, QueryOptions{K: k, Workers: 1})
 	for _, workers := range []int{-1, 0, 1, 2, 7, len(query), len(query) + 50} {
-		got := ix.SearchAllParallel(query, k, workers)
+		got := mustQueryBatch(t, ix, query, QueryOptions{K: k, Workers: workers})
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: parallel result diverges from serial", workers)
 		}
 	}
-	if got := ix.SearchAllParallel(nil, k, 4); len(got) != 0 {
+	if got := mustQueryBatch(t, ix, nil, QueryOptions{K: k, Workers: 4}); len(got) != 0 {
 		t.Errorf("empty query set: got %d results, want 0", len(got))
 	}
 }

@@ -17,11 +17,15 @@ type TuneResult struct {
 // top-k@x recall meets target — the paper's procedure for picking
 // B_N = 256 ("if we aim at 75% top-10 accuracy, the minimum bucket size
 // is 256"). The full sweep is returned for inspection; if no size meets
-// the target, the best (last) one is selected.
+// the target, the best (last) one is selected. It panics where BuildIndex
+// would return an error: an empty reference or a non-finite point.
 func TuneBucketSize(reference, queries []Point, k, x int, target float64) (selected TuneResult, sweep []TuneResult) {
 	sizes := []int{64, 128, 256, 512, 1024, 2048, 4096}
 	for _, bn := range sizes {
-		ix := NewIndex(reference, WithBucketSize(bn))
+		ix, err := BuildIndex(reference, WithBucketSize(bn))
+		if err != nil {
+			panic("quicknn: TuneBucketSize: " + err.Error())
+		}
 		rep := ix.Accuracy(queries, k, x)
 		stats := ix.Stats()
 		res := TuneResult{BucketSize: bn, Report: rep, MeanScan: stats.Mean}
