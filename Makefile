@@ -29,7 +29,8 @@ INGEST_MIN_SPEEDUP ?= $(shell n=$$(nproc 2>/dev/null || echo 1); \
 # Every fuzz target as name:package; each gets its own smoke run because
 # `go test -fuzz` accepts only one matching target at a time.
 FUZZ_TARGETS := FuzzReadFrameCSV:. FuzzReadFrameBinary:. FuzzLoadIndex:. \
-	FuzzConfigCheck:./internal/dram
+	FuzzConfigCheck:./internal/dram FuzzDecodeFrame:./cmd/quicknnd \
+	FuzzDecodeSearch:./cmd/quicknnd FuzzEncodeSearchReply:./cmd/quicknnd
 
 .PHONY: all build vet lint lint-syntactic test race fuzz sanitize anchors perfbench-smoke trace-demo serve-demo chaos-demo slo-demo bench-hot bench-ingest bench-ingest-baseline ci clean
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	qsim "github.com/quicknn/quicknn/internal/arch/quicknn"
+	"github.com/quicknn/quicknn/internal/kdtree"
 )
 
 func apiCloud(n int, seed int64) []Point {
@@ -109,6 +110,49 @@ func TestNonFinitePointsRefused(t *testing.T) {
 	}
 }
 
+// TestNonFiniteQueriesRefused checks that every search entry point
+// refuses a query with a NaN or infinite coordinate with ErrInvalidPoint
+// instead of answering it with NaN distances.
+func TestNonFiniteQueriesRefused(t *testing.T) {
+	ix := mustIndex(t, apiCloud(400, 22), WithBucketSize(32))
+	ctx := context.Background()
+	sc := NewScratch()
+	for name, v := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "-Inf": math.Inf(-1)} {
+		queries := apiCloud(40, 23)
+		queries[17].Z = float32(v)
+		for _, mode := range []QueryMode{ModeApprox, ModeExact, ModeChecks, ModeRadius} {
+			opts := QueryOptions{K: 3, Mode: mode, Checks: 64, Radius: 2}
+			_, qErr := ix.Query(ctx, queries[17], opts)
+			_, intoErr := ix.QueryInto(ctx, queries[17], opts, sc, nil)
+			_, batchErr := ix.QueryBatch(ctx, queries, opts)
+			_, batchIntoErr := ix.QueryBatchInto(ctx, queries, opts, make([][]Neighbor, len(queries)))
+			for entry, err := range map[string]error{
+				"Query": qErr, "QueryInto": intoErr, "QueryBatch": batchErr, "QueryBatchInto": batchIntoErr,
+			} {
+				if !errors.Is(err, ErrInvalidPoint) {
+					t.Errorf("%s/%v with a %s query = %v, want ErrInvalidPoint", entry, mode, name, err)
+				}
+			}
+		}
+	}
+}
+
+// TestLoadIndexRefusesNonFinite checks that a dump carrying a NaN
+// coordinate, which no ingest path would have built, fails to load with
+// ErrInvalidPoint.
+func TestLoadIndexRefusesNonFinite(t *testing.T) {
+	pts := apiCloud(500, 24)
+	pts[42].X = float32(math.NaN())
+	ix := &Index{tree: kdtree.Build(pts, kdtree.Config{BucketSize: 32}, rand.New(rand.NewSource(1))), ref: pts}
+	var dump bytes.Buffer
+	if _, err := ix.WriteTo(&dump); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadIndex(&dump); !errors.Is(err, ErrInvalidPoint) {
+		t.Fatalf("LoadIndex(dump with a NaN) = %v, want ErrInvalidPoint", err)
+	}
+}
+
 func TestQueryOptionValidation(t *testing.T) {
 	ix, err := BuildIndex(apiCloud(200, 5))
 	if err != nil {
@@ -119,6 +163,7 @@ func TestQueryOptionValidation(t *testing.T) {
 		"zero k":          {},
 		"negative k":      {K: -3},
 		"negative radius": {Mode: ModeRadius, Radius: -1},
+		"NaN radius":      {Mode: ModeRadius, Radius: math.NaN()},
 		"unknown mode":    {K: 1, Mode: QueryMode(99)},
 	} {
 		if _, err := ix.Query(ctx, Point{}, opts); !errors.Is(err, ErrInvalidOptions) {

@@ -63,7 +63,9 @@ type server struct {
 	prof *prof.Snapshotter
 }
 
-// frameRequest is the /v1/frame body.
+// frameRequest is the /v1/frame body as encoding/json clients write it.
+// quicknnd decodes it with its own codec (codec.go), whose fuzz tests
+// hold it to json.Unmarshal into this type.
 type frameRequest struct {
 	// Points is the frame as [x,y,z] triples.
 	Points [][3]float32 `json:"points"`
@@ -78,9 +80,10 @@ type frameResponse struct {
 	BucketMean   float64 `json:"bucket_mean"`
 }
 
-// searchRequest is the /v1/search body.
+// searchRequest is the /v1/search body, decoded as frameRequest is.
 type searchRequest struct {
-	// Queries is the query batch as [x,y,z] triples.
+	// Queries is the query batch as [x,y,z] triples; the codec decodes
+	// them into points and leaves this field nil.
 	Queries [][3]float32 `json:"queries"`
 	// K is the neighbor count (default 8).
 	K int `json:"k"`
@@ -302,25 +305,22 @@ func (s *server) writeEnvelope(w http.ResponseWriter, status int, code, msg stri
 	writeJSON(w, status, resp)
 }
 
-func toPoints(triples [][3]float32) []quicknn.Point {
-	pts := make([]quicknn.Point, len(triples))
-	for i, t := range triples {
-		pts[i] = quicknn.Point{X: t[0], Y: t[1], Z: t[2]}
-	}
-	return pts
-}
-
 func (s *server) handleFrame(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeEnvelope(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
 		return
 	}
-	var req frameRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeEnvelope(w, http.StatusBadRequest, "bad_request", "bad frame body: "+err.Error())
+	body, err := readBody(w, r, maxBodyBytes)
+	if err != nil {
+		s.refuseBody(w, "frame", err)
 		return
 	}
-	info, err := s.engine.Advance(r.Context(), toPoints(req.Points))
+	pts, err := decodeFrame(body, make([]quicknn.Point, 0, bodyPoints(body)))
+	if err != nil {
+		s.refuseBody(w, "frame", err)
+		return
+	}
+	info, err := s.engine.Advance(r.Context(), pts)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -332,6 +332,18 @@ func (s *server) handleFrame(w http.ResponseWriter, r *http.Request) {
 		BucketMax:    info.Stats.Max,
 		BucketMean:   info.Stats.Mean,
 	})
+}
+
+// refuseBody answers a request body that could not be read or decoded:
+// 413 too_large past maxBodyBytes, 400 bad_request otherwise.
+func (s *server) refuseBody(w http.ResponseWriter, route string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		s.writeEnvelope(w, http.StatusRequestEntityTooLarge, "too_large",
+			fmt.Sprintf("%s body exceeds %d bytes", route, tooLarge.Limit))
+		return
+	}
+	s.writeEnvelope(w, http.StatusBadRequest, "bad_request", "bad "+route+" body: "+err.Error())
 }
 
 // parseMode maps the wire mode names onto QueryOptions.
@@ -361,9 +373,15 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeEnvelope(w, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
 		return
 	}
+	body, err := readBody(w, r, maxBodyBytes)
+	if err != nil {
+		s.refuseBody(w, "search", err)
+		return
+	}
 	var req searchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeEnvelope(w, http.StatusBadRequest, "bad_request", "bad search body: "+err.Error())
+	pts, err := decodeSearch(body, &req, make([]quicknn.Point, 0, bodyPoints(body)))
+	if err != nil {
+		s.refuseBody(w, "search", err)
 		return
 	}
 	opts, err := parseMode(req)
@@ -386,7 +404,7 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	res, err := s.engine.Do(ctx, serve.Submission{
-		Queries: toPoints(req.Queries),
+		Queries: pts,
 		Opts:    opts,
 		Strict:  req.Strict,
 		Trace:   trace,
@@ -401,26 +419,22 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		span = res.ID
 	}
 	w.Header().Set("traceparent", obs.FormatTraceParent(trace, span))
-	resp := searchResponse{Epoch: res.Epoch, Results: make([][]neighborJSON, len(res.Results))}
-	if res.Epoch == 0 { // zero-query requests skip the engine
-		resp.Epoch = s.engine.Epoch()
+	epoch := res.Epoch
+	if epoch == 0 { // zero-query requests skip the engine
+		epoch = s.engine.Epoch()
 	}
-	if res.Level > degrade.LevelNone {
-		resp.DegradeLevel = int(res.Level)
-		resp.Degrade = res.Level.String()
+	reply := getReply()
+	out, err := appendSearchReply(*reply, epoch, res.Results, res.Level)
+	defer putReply(reply, out)
+	if err != nil {
+		s.writeEnvelope(w, http.StatusInternalServerError, "internal", err.Error())
+		return
 	}
-	for qi, nbrs := range res.Results {
-		out := make([]neighborJSON, len(nbrs))
-		for i, nb := range nbrs {
-			out[i] = neighborJSON{
-				Index:  nb.Index,
-				Point:  [3]float32{nb.Point.X, nb.Point.Y, nb.Point.Z},
-				DistSq: nb.DistSq,
-			}
-		}
-		resp.Results[qi] = out
-	}
-	writeJSON(w, http.StatusOK, resp)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(out)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(out)
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {

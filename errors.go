@@ -20,8 +20,10 @@ var (
 	ErrInvalidOptions = errors.New("quicknn: invalid options")
 
 	// ErrInvalidPoint reports a point with a NaN or infinite coordinate
-	// (BuildIndex, Index.Update, Index.UpdateStatic, ReadFrameCSV,
-	// ReadFrameBinary). Returned errors wrap it with the point's position.
+	// (BuildIndex, Index.Update, Index.UpdateStatic, LoadIndex,
+	// ReadFrameCSV, ReadFrameBinary, Pipeline.ProcessCtx) or such a query
+	// (Index.Query, QueryInto, QueryBatch, QueryBatchInto). Returned
+	// errors wrap it with the point's position.
 	ErrInvalidPoint = errors.New("quicknn: invalid point: coordinates must be finite")
 
 	// ErrCorruptIndex reports that a serialized index failed validation

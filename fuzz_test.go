@@ -96,6 +96,9 @@ func FuzzLoadIndex(f *testing.F) {
 		if err := loaded.tree.Validate(); err != nil {
 			t.Fatalf("accepted index fails Validate: %v", err)
 		}
+		if err := checkFinite(loaded.Points()); err != nil {
+			t.Fatalf("accepted index holds a non-finite point: %v", err)
+		}
 		if loaded.Len() > 0 {
 			q := loaded.Points()[0]
 			res := mustQuery(t, loaded, q, QueryOptions{K: 1})

@@ -191,7 +191,8 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) { return ix.tree.WriteTo(w)
 // cover of [0, NumPoints) — out-of-range or duplicated indices from a
 // corrupt or truncated dump — is rejected with an error wrapping
 // ErrCorruptIndex rather than silently reconstructing a zero-filled
-// reference slice.
+// reference slice, and a NaN or infinite coordinate with one wrapping
+// ErrInvalidPoint, as every ingest path refuses it.
 func LoadIndex(r io.Reader) (*Index, error) {
 	tree, err := kdtree.ReadFrom(r)
 	if err != nil {
@@ -232,6 +233,10 @@ func LoadIndex(r io.Reader) (*Index, error) {
 	})
 	if loadErr != nil {
 		return nil, loadErr
+	}
+	// A dump can carry what no ingest path accepts: refuse it the same way.
+	if err := checkFinite(ref); err != nil {
+		return nil, err
 	}
 	return &Index{tree: tree, ref: ref}, nil
 }

@@ -114,6 +114,11 @@ func (p *Pipeline) ProcessCtx(ctx context.Context, frame []Point) (FrameResult, 
 	if err := ctx.Err(); err != nil {
 		return FrameResult{}, err
 	}
+	// Refuse a non-finite frame before searching it: advance would
+	// refuse it anyway, after the whole search had run.
+	if err := checkFinite(frame); err != nil {
+		return FrameResult{}, err
+	}
 	res := FrameResult{FrameIndex: p.count}
 	if p.index == nil {
 		sw := obs.StartStopwatch()

@@ -71,7 +71,7 @@ func (o QueryOptions) validate() error {
 			return fmt.Errorf("%w: Checks = %d must be >= 0", ErrInvalidOptions, o.Checks)
 		}
 	case ModeRadius:
-		if o.Radius < 0 {
+		if !(o.Radius >= 0) { // NaN fails every compare
 			return fmt.Errorf("%w: Radius = %g must be >= 0", ErrInvalidOptions, o.Radius)
 		}
 	default:
@@ -82,7 +82,8 @@ func (o QueryOptions) validate() error {
 
 // Query runs one search against the index under the given options: the
 // mode (approximate, exact, checks or radius) is an option, not a method.
-// Invalid options surface as errors wrapping ErrInvalidOptions, and ctx
+// Invalid options surface as errors wrapping ErrInvalidOptions, a query
+// with a NaN or infinite coordinate as one wrapping ErrInvalidPoint, and ctx
 // cancellation is honored between bucket visits (the backtracking modes
 // poll ctx once per bucket scan), returning ctx.Err(). Concurrent Query
 // calls are safe as long as no Update runs concurrently.
@@ -112,6 +113,9 @@ func (ix *Index) QueryInto(ctx context.Context, q Point, opts QueryOptions, sc *
 	}
 	if err := opts.validate(); err != nil {
 		return dst, err
+	}
+	if !finite(q.X) || !finite(q.Y) || !finite(q.Z) {
+		return dst, fmt.Errorf("%w: query is (%g, %g, %g)", ErrInvalidPoint, q.X, q.Y, q.Z)
 	}
 	if sc == nil || sc.s == nil {
 		return dst, fmt.Errorf("%w: QueryInto requires a Scratch from NewScratch", ErrInvalidOptions)
@@ -200,9 +204,11 @@ func (ix *Index) QueryBatch(ctx context.Context, queries []Point, opts QueryOpti
 // more neighbors and, with more than one worker, must not alias another
 // query's region; with such regions, one worker, a warm pool and an
 // uncancellable ctx (context.Background) the call performs zero heap
-// allocations. ctx is polled whenever a worker enters a new leaf group
-// and, in the backtracking modes, before every bucket scan; cancellation
-// abandons the batch with ctx.Err(), leaving results partially filled.
+// allocations. A NaN or infinite query coordinate refuses the whole
+// batch with ErrInvalidPoint before any search runs. ctx is polled
+// whenever a worker enters a new leaf group and, in the backtracking
+// modes, before every bucket scan; cancellation abandons the batch with
+// ctx.Err(), leaving results partially filled.
 func (ix *Index) QueryBatchInto(ctx context.Context, queries []Point, opts QueryOptions, results [][]Neighbor) (QueryStats, error) {
 	if err := ctx.Err(); err != nil {
 		return QueryStats{}, err
@@ -212,6 +218,9 @@ func (ix *Index) QueryBatchInto(ctx context.Context, queries []Point, opts Query
 	}
 	if len(results) < len(queries) {
 		return QueryStats{}, fmt.Errorf("%w: %d result regions for %d queries", ErrInvalidOptions, len(results), len(queries))
+	}
+	if err := checkFinite(queries); err != nil {
+		return QueryStats{}, err
 	}
 	workers := opts.Workers
 	if workers <= 0 {
