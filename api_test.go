@@ -77,10 +77,15 @@ func TestNonFinitePointsRefused(t *testing.T) {
 		_, csvErr := ReadFrameCSV(&csv)
 		_, binErr := ReadFrameBinary(&bin)
 		_, pipeErr := p.ProcessCtx(ctx, bad)
+		_, rebuildErr := ix.Advance(bad, ModeRebuild)
+		_, staticErr := ix.Advance(bad, ModeStatic)
+		_, incrErr := ix.Advance(bad, ModeIncremental)
 		for entry, err := range map[string]error{
 			"BuildIndex":          buildErr,
 			"Update":              ix.Update(bad),
-			"UpdateStatic":        ix.UpdateStatic(bad),
+			"Advance/rebuild":     rebuildErr,
+			"Advance/static":      staticErr,
+			"Advance/incremental": incrErr,
 			"ReadFrameCSV":        csvErr,
 			"ReadFrameBinary":     binErr,
 			"Pipeline.ProcessCtx": pipeErr,
@@ -143,7 +148,7 @@ func TestNonFiniteQueriesRefused(t *testing.T) {
 func TestLoadIndexRefusesNonFinite(t *testing.T) {
 	pts := apiCloud(500, 24)
 	pts[42].X = float32(math.NaN())
-	ix := &Index{tree: kdtree.Build(pts, kdtree.Config{BucketSize: 32}, rand.New(rand.NewSource(1))), ref: pts}
+	ix := &Index{tree: kdtree.Build(pts, kdtree.Config{BucketSize: 32}, rand.New(rand.NewSource(1)))}
 	var dump bytes.Buffer
 	if _, err := ix.WriteTo(&dump); err != nil {
 		t.Fatal(err)

@@ -28,6 +28,7 @@ import (
 
 	"github.com/quicknn/quicknn"
 	"github.com/quicknn/quicknn/internal/arch"
+	qsim "github.com/quicknn/quicknn/internal/arch/quicknn"
 	"github.com/quicknn/quicknn/internal/obs"
 )
 
@@ -48,15 +49,8 @@ func main() {
 	)
 	flag.Parse()
 
-	var treeMode quicknn.SimConfig
-	switch *mode {
-	case "rebuild":
-		treeMode.Mode = quicknn.ModeRebuild
-	case "static":
-		treeMode.Mode = quicknn.ModeStatic
-	case "incremental":
-		treeMode.Mode = quicknn.ModeIncremental
-	default:
+	treeMode, ok := qsim.ParseTreeMode(*mode)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "quicknn: unknown -mode %q\n", *mode)
 		os.Exit(2)
 	}
@@ -93,7 +87,7 @@ func main() {
 	pipe := quicknn.NewPipeline(quicknn.PipelineConfig{
 		K:          *k,
 		BucketSize: *bucket,
-		Mode:       treeMode.Mode,
+		Mode:       treeMode,
 		Seed:       *seed,
 		Obs:        sink,
 	})
@@ -121,7 +115,7 @@ func main() {
 
 		if *sim {
 			sink.Tr().SetOffset(cum)
-			cfg := quicknn.SimConfig{FUs: *fus, K: *k, BucketSize: *bucket, Mode: treeMode.Mode, Obs: sink}
+			cfg := quicknn.SimConfig{FUs: *fus, K: *k, BucketSize: *bucket, Mode: treeMode, Obs: sink}
 			rep := quicknn.SimulateAccelerator(drive[fi-1], frame, cfg, *seed)
 			cum += rep.Cycles
 			fmt.Printf("         accelerator (%d FUs): %d cycles = %.2f ms @100MHz → %.1f FPS, mem util %.0f%%\n",

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"github.com/quicknn/quicknn"
+	qsim "github.com/quicknn/quicknn/internal/arch/quicknn"
 	"github.com/quicknn/quicknn/internal/degrade"
 	"github.com/quicknn/quicknn/internal/faults"
 	"github.com/quicknn/quicknn/internal/obs"
@@ -72,12 +73,15 @@ func main() {
 	)
 	flag.Parse()
 
-	maint, err := parseMaintenance(*mode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "quicknnd:", err)
+	maint, ok := qsim.ParseTreeMode(*mode)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "quicknnd: unknown -maintenance %q (want rebuild|static|incremental)\n", *mode)
 		os.Exit(2)
 	}
-	var plan *faults.Plan
+	var (
+		plan *faults.Plan
+		err  error
+	)
 	if *faultSpec != "" {
 		if !faults.Enabled {
 			fmt.Fprintln(os.Stderr, "quicknnd: -faults requires a binary built with -tags quicknn_faults")
@@ -277,18 +281,6 @@ func buildSLO(specStr string, reg *obs.Registry) (*slo.Engine, error) {
 		objs = append(objs, obj)
 	}
 	return slo.New(slo.Config{Objectives: objs, Reg: reg})
-}
-
-func parseMaintenance(s string) (serve.Maintenance, error) {
-	switch s {
-	case "rebuild":
-		return serve.MaintRebuild, nil
-	case "static":
-		return serve.MaintStatic, nil
-	case "incremental":
-		return serve.MaintIncremental, nil
-	}
-	return 0, fmt.Errorf("unknown -maintenance %q (want rebuild|static|incremental)", s)
 }
 
 // startPprof serves net/http/pprof on its own listener with an explicit

@@ -2,6 +2,8 @@ package quicknn_test
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
 
 	"github.com/quicknn/quicknn"
@@ -104,6 +106,41 @@ func TestQueryBatchIntoZeroAllocs(t *testing.T) {
 		if work.TraversalSteps == 0 || work.PointsScanned == 0 || work.BucketsVisited < len(queries) || work.CandInserts == 0 {
 			t.Errorf("QueryBatchInto/%s: work counters not populated: %+v", tc.name, work)
 		}
+	}
+}
+
+// TestAdvanceRefusesNonFiniteBeforeSnapshot pins the order of Advance's
+// work: a frame with a NaN coordinate (its last point, so the whole frame
+// is scanned) is refused before the index is snapshotted. The six
+// allocations are the refusal's error value alone (fmt.Errorf wrapping
+// ErrInvalidPoint with the point's position and coordinates); refusing
+// after the snapshot would add the clone's allocations and its
+// arena-sized bytes.
+func TestAdvanceRefusesNonFiniteBeforeSnapshot(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under the race detector")
+	}
+	ix, _ := allocIndexAndQueries(t)
+	bad := hotCloud(ix.Len(), 2)
+	bad[len(bad)-1].Y = float32(math.NaN())
+	fn := func() {
+		if _, err := ix.Advance(bad, quicknn.ModeIncremental); err == nil {
+			t.Fatal("Advance accepted a NaN coordinate")
+		}
+	}
+	fn() // warm-up
+	if allocs := testing.AllocsPerRun(50, fn); allocs > 6 {
+		t.Errorf("refused Advance: %v allocs/op, want <= 6 (the error value alone)", allocs)
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 1<<10 {
+		t.Errorf("refused Advance: %d B/op, want <= 1 KiB (a snapshot of %d points would be copied)", per, ix.Len())
 	}
 }
 

@@ -50,6 +50,17 @@ func (m TreeMode) String() string {
 	}
 }
 
+// ParseTreeMode is String's inverse: it returns the mode named
+// "rebuild", "static" or "incremental", and false for any other name.
+func ParseTreeMode(name string) (TreeMode, bool) {
+	for m := ModeRebuild; m <= ModeIncremental; m++ {
+		if m.String() == name {
+			return m, true
+		}
+	}
+	return 0, false
+}
+
 // Config parameterizes the QuickNN instance. The zero value selects the
 // paper's 64-FU prototype operating point; Disable* flags are ablations
 // (all optimizations are on by default).

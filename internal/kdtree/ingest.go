@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"github.com/quicknn/quicknn/internal/geom"
+	"github.com/quicknn/quicknn/internal/obs"
 )
 
 // This file is the ingest engine (docs/performance.md): the plan/scatter
@@ -45,6 +46,41 @@ type IngestTiming struct {
 	RebalanceSeconds float64
 	// Workers is the resolved worker count the operation used.
 	Workers int
+}
+
+// Publish records the timing into reg's quicknn_ingest_phase_seconds
+// {phase} histogram and quicknn_ingest_workers gauge. Only phases that
+// ran are observed, keeping the histograms free of structural zeros
+// (Splits never runs on an incremental update). Publishing the zero
+// IngestTiming observes nothing but declares every phase series, so a
+// server's scrape carries both families before its first frame. A nil
+// reg publishes nothing.
+func (it IngestTiming) Publish(reg *obs.Registry) {
+	phase := reg.Histogram("quicknn_ingest_phase_seconds",
+		"Host wall seconds per ingest phase of the latest frame advance.",
+		obs.TimeBuckets(), "phase")
+	workers := reg.Gauge("quicknn_ingest_workers",
+		"Ingest worker count used by the latest frame advance.").With()
+	declare := it == IngestTiming{}
+	for _, ph := range [...]struct {
+		name string
+		sec  float64
+	}{
+		{"splits", it.SplitsSeconds},
+		{"plan", it.PlanSeconds},
+		{"scatter", it.ScatterSeconds},
+		{"place", it.PlaceSeconds},
+		{"rebalance", it.RebalanceSeconds},
+	} {
+		if ph.sec > 0 {
+			phase.With(ph.name).Observe(ph.sec)
+		} else if declare {
+			phase.With(ph.name)
+		}
+	}
+	if it.Workers > 0 {
+		workers.Set(float64(it.Workers))
+	}
 }
 
 // LastIngest returns the phase timings of the most recent mutation

@@ -15,17 +15,18 @@ import (
 	"github.com/quicknn/quicknn/internal/obs"
 )
 
-// Maintenance selects how the index advances between frames, mirroring
-// the pipeline's tree modes (§4.4 of the paper).
-type Maintenance int
+// Maintenance selects how the index advances between frames: it is the
+// root package's TreeMode (§4.4 of the paper), under the names the
+// engine's callers already use.
+type Maintenance = quicknn.TreeMode
 
 const (
 	// MaintRebuild rebuilds the index from scratch each frame.
-	MaintRebuild Maintenance = iota
+	MaintRebuild = quicknn.ModeRebuild
 	// MaintStatic keeps the splits frozen and refills the buckets.
-	MaintStatic
+	MaintStatic = quicknn.ModeStatic
 	// MaintIncremental reuses the splits with merge/split rebalancing.
-	MaintIncremental
+	MaintIncremental = quicknn.ModeIncremental
 )
 
 // Config parameterizes the engine. The zero value is usable: every field
@@ -134,19 +135,10 @@ type FrameInfo struct {
 	Stats quicknn.Stats
 	// BuildSeconds is the host wall time spent building the snapshot.
 	BuildSeconds float64
-	// The remaining fields break BuildSeconds into the ingest phases
-	// that ran (docs/performance.md); a phase that did not run is zero.
-	// SplitsSeconds covers sampling and split construction (rebuild mode
-	// only); PlanSeconds and ScatterSeconds split the parallel two-phase
-	// placement, PlaceSeconds is total placement wall time either way;
-	// RebalanceSeconds covers incremental merge/split rebalancing.
-	SplitsSeconds    float64
-	PlanSeconds      float64
-	ScatterSeconds   float64
-	PlaceSeconds     float64
-	RebalanceSeconds float64
-	// IngestWorkers is the worker count the ingest actually ran with.
-	IngestWorkers int
+	// Ingest breaks BuildSeconds into the ingest phases that ran, and
+	// records the worker count they ran with (docs/performance.md); a
+	// phase that did not run is zero.
+	Ingest quicknn.IngestTiming
 }
 
 // Engine is the concurrent serving core: epoch-snapshot reads plus a
@@ -277,22 +269,21 @@ func (e *Engine) Index() *quicknn.Index {
 
 // ---------------------------------------------------------------- frames
 
-// Advance ingests the next frame: it builds (or incrementally updates, on
-// a private copy, per Config.Maintenance) the next index snapshot in the
-// background of the read path, then swaps it in atomically. Readers keep
-// searching the previous epoch throughout; the previous epoch is retired
-// once its last in-flight query drains. Advances are serialized with each
-// other but never block queries. A frame with a NaN or infinite
-// coordinate is refused with quicknn.ErrInvalidPoint, and the current
-// epoch stays.
+// Advance ingests the next frame: the first frame builds the index, and
+// every later one goes through quicknn.Index.Advance under
+// Config.Maintenance, which leaves the current epoch's index untouched.
+// The next snapshot is built in the background of the read path, then
+// swapped in atomically. Readers keep searching the previous epoch
+// throughout; the previous epoch is retired once its last in-flight query
+// drains. Advances are serialized with each other but never block
+// queries. An empty frame is refused with quicknn.ErrEmptyInput and a
+// frame with a NaN or infinite coordinate with quicknn.ErrInvalidPoint,
+// before any copy or build, and the current epoch stays.
 func (e *Engine) Advance(ctx context.Context, frame []quicknn.Point) (FrameInfo, error) {
 	// Fault seam: a firing FrameCorrupt rule truncates the frame to a
 	// deterministic prefix; an empty prefix surfaces as the typed
-	// ErrEmptyInput below, never as a crash deeper in the build.
+	// ErrEmptyInput from the build, never as a crash deeper in it.
 	frame = frame[:e.flt.CorruptLen(len(frame))]
-	if len(frame) == 0 {
-		return FrameInfo{}, fmt.Errorf("%w (Advance requires a non-empty frame)", quicknn.ErrEmptyInput)
-	}
 	if err := ctx.Err(); err != nil {
 		return FrameInfo{}, err
 	}
@@ -313,25 +304,15 @@ func (e *Engine) Advance(ctx context.Context, frame []quicknn.Point) (FrameInfo,
 		ix  *quicknn.Index
 		err error
 	)
-	if cur == nil || e.cfg.Maintenance == MaintRebuild {
+	if cur == nil {
 		ix, err = quicknn.BuildIndex(frame,
 			quicknn.WithBucketSize(e.cfg.BucketSize), quicknn.WithSeed(e.cfg.Seed),
 			quicknn.WithParallelism(e.cfg.IngestWorkers))
-		if err != nil {
-			return FrameInfo{}, err
-		}
 	} else {
-		ix = cur.index.Snapshot()
-		ix.SetParallelism(e.cfg.IngestWorkers)
-		switch e.cfg.Maintenance {
-		case MaintStatic:
-			err = ix.UpdateStatic(frame)
-		default:
-			err = ix.Update(frame)
-		}
-		if err != nil {
-			return FrameInfo{}, err
-		}
+		ix, err = cur.index.Advance(frame, e.cfg.Maintenance)
+	}
+	if err != nil {
+		return FrameInfo{}, err
 	}
 	buildSec := sw.Seconds()
 	ing := ix.IngestTiming()
@@ -353,42 +334,10 @@ func (e *Engine) Advance(ctx context.Context, frame []quicknn.Point) (FrameInfo,
 	e.m.frames.Inc()
 	e.m.epochsTotal.Inc()
 	e.m.frameBuild.Observe(buildSec)
-	e.observeIngest(ing)
+	ing.Publish(e.cfg.Obs.Reg())
 	e.traceIngest(id, len(frame), start, buildSec, ing)
 	e.publishEpochGauges(id)
-	return FrameInfo{
-		Epoch: id, Points: len(frame), Stats: ix.Stats(), BuildSeconds: buildSec,
-		SplitsSeconds:    ing.SplitsSeconds,
-		PlanSeconds:      ing.PlanSeconds,
-		ScatterSeconds:   ing.ScatterSeconds,
-		PlaceSeconds:     ing.PlaceSeconds,
-		RebalanceSeconds: ing.RebalanceSeconds,
-		IngestWorkers:    ing.Workers,
-	}, nil
-}
-
-// observeIngest publishes the frame advance's per-phase ingest breakdown.
-// Only phases that actually ran are observed, keeping the histograms free
-// of structural zeros (Splits never runs on incremental updates).
-func (e *Engine) observeIngest(ing quicknn.IngestTiming) {
-	if ing.SplitsSeconds > 0 {
-		e.m.ingestSplits.Observe(ing.SplitsSeconds)
-	}
-	if ing.PlanSeconds > 0 {
-		e.m.ingestPlan.Observe(ing.PlanSeconds)
-	}
-	if ing.ScatterSeconds > 0 {
-		e.m.ingestScatter.Observe(ing.ScatterSeconds)
-	}
-	if ing.PlaceSeconds > 0 {
-		e.m.ingestPlace.Observe(ing.PlaceSeconds)
-	}
-	if ing.RebalanceSeconds > 0 {
-		e.m.ingestRebalance.Observe(ing.RebalanceSeconds)
-	}
-	if ing.Workers > 0 {
-		e.m.ingestWorkers.Set(float64(ing.Workers))
-	}
+	return FrameInfo{Epoch: id, Points: len(frame), Stats: ix.Stats(), BuildSeconds: buildSec, Ingest: ing}, nil
 }
 
 // traceIngest emits the frame advance as spans on the serve/ingest tracks
@@ -500,7 +449,10 @@ type QueryResult struct {
 // Submission bundles one request's inputs for Do: the query points,
 // their options, the strictness bit, and the wire-level correlation id.
 type Submission struct {
-	// Queries are the query points, answered against one snapshot.
+	// Queries are the query points, answered against one snapshot. The
+	// engine reads them until the request's batch is done with them, which
+	// can be after Do has returned a context error (see Do): the caller
+	// must not overwrite or pool the slice until then.
 	Queries []quicknn.Point
 	// Opts apply to every query (the degrade ladder may rewrite them).
 	Opts quicknn.QueryOptions
@@ -524,6 +476,11 @@ type Submission struct {
 // yet), or the ctx error when the deadline expires first — the search
 // of an expired request is abandoned at its next leaf group or bucket.
 // All of a request's queries are answered against one epoch snapshot.
+//
+// Do returns a context error at once, while the request's batch may still
+// read sub.Queries until its next leaf group or bucket. After such a
+// return the caller must not overwrite the slice or hand it back to a
+// pool; drop it instead.
 func (e *Engine) Do(ctx context.Context, sub Submission) (QueryResult, error) {
 	if len(sub.Queries) == 0 {
 		return QueryResult{Results: [][]quicknn.Neighbor{}, Epoch: e.Epoch()}, nil

@@ -86,8 +86,8 @@ func TestBuildSlowSeamDelaysParallelIngest(t *testing.T) {
 		if elapsed := time.Since(start); elapsed < delay {
 			t.Fatalf("frame %d: advance finished in %v, want >= %v", f, elapsed, delay)
 		}
-		if info.IngestWorkers != 4 {
-			t.Fatalf("frame %d ran with %d ingest workers, want 4", f, info.IngestWorkers)
+		if info.Ingest.Workers != 4 {
+			t.Fatalf("frame %d ran with %d ingest workers, want 4", f, info.Ingest.Workers)
 		}
 		if info.BuildSeconds >= delay.Seconds() {
 			t.Fatalf("frame %d: BuildSeconds %v absorbed the injected %v delay",

@@ -24,28 +24,28 @@ func TestAdvanceReportsIngestPhases(t *testing.T) {
 	defer e.Close(context.Background())
 
 	first := mustAdvance(t, e, 1, 6000, rng)
-	if first.SplitsSeconds <= 0 || first.PlaceSeconds <= 0 {
+	if first.Ingest.SplitsSeconds <= 0 || first.Ingest.PlaceSeconds <= 0 {
 		t.Fatalf("first frame (build): splits=%v place=%v, want both > 0",
-			first.SplitsSeconds, first.PlaceSeconds)
+			first.Ingest.SplitsSeconds, first.Ingest.PlaceSeconds)
 	}
-	if first.IngestWorkers != 3 {
-		t.Fatalf("first frame ran with %d workers, want 3", first.IngestWorkers)
+	if first.Ingest.Workers != 3 {
+		t.Fatalf("first frame ran with %d workers, want 3", first.Ingest.Workers)
 	}
-	if first.PlanSeconds <= 0 || first.ScatterSeconds <= 0 {
+	if first.Ingest.PlanSeconds <= 0 || first.Ingest.ScatterSeconds <= 0 {
 		t.Fatalf("placement: plan=%v scatter=%v, want both > 0",
-			first.PlanSeconds, first.ScatterSeconds)
+			first.Ingest.PlanSeconds, first.Ingest.ScatterSeconds)
 	}
 
 	next := mustAdvance(t, e, 2, 6000, rng)
-	if next.SplitsSeconds != 0 {
-		t.Fatalf("incremental update reported splits=%v, want 0", next.SplitsSeconds)
+	if next.Ingest.SplitsSeconds != 0 {
+		t.Fatalf("incremental update reported splits=%v, want 0", next.Ingest.SplitsSeconds)
 	}
-	if next.PlaceSeconds <= 0 || next.RebalanceSeconds <= 0 {
+	if next.Ingest.PlaceSeconds <= 0 || next.Ingest.RebalanceSeconds <= 0 {
 		t.Fatalf("incremental update: place=%v rebalance=%v, want both > 0",
-			next.PlaceSeconds, next.RebalanceSeconds)
+			next.Ingest.PlaceSeconds, next.Ingest.RebalanceSeconds)
 	}
-	if next.IngestWorkers != 3 {
-		t.Fatalf("incremental update ran with %d workers, want 3", next.IngestWorkers)
+	if next.Ingest.Workers != 3 {
+		t.Fatalf("incremental update ran with %d workers, want 3", next.Ingest.Workers)
 	}
 }
 
@@ -58,15 +58,15 @@ func TestAdvanceOneWorkerIngestReportsPlanScatter(t *testing.T) {
 	defer e.Close(context.Background())
 	mustAdvance(t, e, 1, 4000, rng)
 	info := mustAdvance(t, e, 2, 4000, rng)
-	if info.PlanSeconds <= 0 || info.ScatterSeconds <= 0 {
+	if info.Ingest.PlanSeconds <= 0 || info.Ingest.ScatterSeconds <= 0 {
 		t.Fatalf("one-worker ingest reported plan=%v scatter=%v, want both > 0",
-			info.PlanSeconds, info.ScatterSeconds)
+			info.Ingest.PlanSeconds, info.Ingest.ScatterSeconds)
 	}
-	if info.PlaceSeconds <= 0 {
-		t.Fatalf("one-worker ingest reported place=%v, want > 0", info.PlaceSeconds)
+	if info.Ingest.PlaceSeconds <= 0 {
+		t.Fatalf("one-worker ingest reported place=%v, want > 0", info.Ingest.PlaceSeconds)
 	}
-	if info.IngestWorkers != 1 {
-		t.Fatalf("one-worker ingest ran with %d workers, want 1", info.IngestWorkers)
+	if info.Ingest.Workers != 1 {
+		t.Fatalf("one-worker ingest ran with %d workers, want 1", info.Ingest.Workers)
 	}
 }
 
@@ -163,8 +163,8 @@ func TestParallelIngestConcurrentWithQueries(t *testing.T) {
 
 	for f := 2; f <= frameSwaps; f++ {
 		info := mustAdvance(t, e, f, framePoints, rng)
-		if info.IngestWorkers != 4 {
-			t.Fatalf("frame %d ran with %d ingest workers, want 4", f, info.IngestWorkers)
+		if info.Ingest.Workers != 4 {
+			t.Fatalf("frame %d ran with %d ingest workers, want 4", f, info.Ingest.Workers)
 		}
 	}
 	stopQueries.Store(true)
@@ -189,7 +189,7 @@ func TestConfigNegativeIngestWorkersTreatedAsDefault(t *testing.T) {
 	e := NewEngine(Config{IngestWorkers: -5})
 	defer e.Close(context.Background())
 	info := mustAdvance(t, e, 1, 500, rng)
-	if info.IngestWorkers < 1 {
-		t.Fatalf("IngestWorkers = %d, want >= 1", info.IngestWorkers)
+	if info.Ingest.Workers < 1 {
+		t.Fatalf("IngestWorkers = %d, want >= 1", info.Ingest.Workers)
 	}
 }

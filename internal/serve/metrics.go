@@ -1,6 +1,9 @@
 package serve
 
-import "github.com/quicknn/quicknn/internal/obs"
+import (
+	"github.com/quicknn/quicknn"
+	"github.com/quicknn/quicknn/internal/obs"
+)
 
 // metrics bundles the engine's quicknn_serve_* instrument handles. All
 // handles tolerate a nil sink (obs instruments are nil-safe), so the
@@ -21,16 +24,6 @@ type metrics struct {
 	latency     *obs.Histogram
 	frameBuild  *obs.Histogram
 	epochsTotal *obs.Counter
-
-	// Parallel-ingest families (docs/performance.md): the per-phase wall
-	// time of the latest frame advance and the worker count it ran with.
-	// Phase handles are pre-resolved so Advance pays no label lookup.
-	ingestSplits    *obs.Histogram
-	ingestPlan      *obs.Histogram
-	ingestScatter   *obs.Histogram
-	ingestPlace     *obs.Histogram
-	ingestRebalance *obs.Histogram
-	ingestWorkers   *obs.Gauge
 
 	// Flight-recorder companions: requests the tail sampler promoted to
 	// full traces, and its decaying latency-quantile estimate.
@@ -83,16 +76,9 @@ func newMetrics(sink *obs.Sink) *metrics {
 		obs.TimeBuckets()).With()
 	m.epochsTotal = reg.Counter("quicknn_serve_epochs_total",
 		"Epochs created since engine start.").With()
-	ingPhase := reg.Histogram("quicknn_ingest_phase_seconds",
-		"Host wall seconds per ingest phase of the latest frame advance.",
-		obs.TimeBuckets(), "phase")
-	m.ingestSplits = ingPhase.With("splits")
-	m.ingestPlan = ingPhase.With("plan")
-	m.ingestScatter = ingPhase.With("scatter")
-	m.ingestPlace = ingPhase.With("place")
-	m.ingestRebalance = ingPhase.With("rebalance")
-	m.ingestWorkers = reg.Gauge("quicknn_ingest_workers",
-		"Ingest worker count used by the latest frame advance.").With()
+	// The parallel-ingest families (docs/performance.md), declared with
+	// every phase series; Advance publishes into them.
+	quicknn.IngestTiming{}.Publish(reg)
 	m.slowPromoted = reg.Counter("quicknn_serve_slow_total",
 		"Requests promoted to full traces by the adaptive tail sampler.").With()
 	m.tailEstimate = reg.Gauge("quicknn_serve_tail_latency_seconds",

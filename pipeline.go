@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	qsim "github.com/quicknn/quicknn/internal/arch/quicknn"
 	"github.com/quicknn/quicknn/internal/obs"
 )
 
@@ -17,7 +16,7 @@ type PipelineConfig struct {
 	// Mode selects how the index advances between frames: ModeRebuild
 	// (from scratch, the prototype's choice), ModeStatic (frozen splits)
 	// or ModeIncremental (merge/split rebalancing, §4.4).
-	Mode qsim.TreeMode
+	Mode TreeMode
 	// EstimateMotion additionally aligns each frame to the previous one
 	// with ICP before searching, so neighbor distances measure scene
 	// change rather than ego motion.
@@ -85,7 +84,8 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 }
 
 // Index exposes the pipeline's current reference index (nil before the
-// first frame).
+// first frame). Every frame gets a new Index, so one returned earlier
+// keeps answering for its own frame.
 func (p *Pipeline) Index() *Index { return p.index }
 
 // Process ingests the next frame and returns its result. It delegates to
@@ -114,41 +114,44 @@ func (p *Pipeline) ProcessCtx(ctx context.Context, frame []Point) (FrameResult, 
 	if err := ctx.Err(); err != nil {
 		return FrameResult{}, err
 	}
-	// Refuse a non-finite frame before searching it: advance would
+	// Refuse a non-finite frame before searching it: Advance would
 	// refuse it anyway, after the whole search had run.
 	if err := checkFinite(frame); err != nil {
 		return FrameResult{}, err
 	}
 	res := FrameResult{FrameIndex: p.count}
-	if p.index == nil {
+	var searchSec float64
+	if p.index != nil {
+		queries := frame
+		if p.cfg.EstimateMotion {
+			res.Motion = EstimateMotion(p.index, frame, p.cfg.ICP)
+			queries = res.Motion.Motion.ApplyAll(frame)
+		}
 		sw := obs.StartStopwatch()
-		if err := p.advance(frame); err != nil {
+		neighbors, err := p.index.QueryBatch(ctx, queries,
+			QueryOptions{K: p.cfg.K, Workers: p.cfg.Workers})
+		if err != nil {
 			return FrameResult{}, err
 		}
-		p.count++
-		res.IndexStats = p.index.Stats()
-		p.record(frame, sw.Seconds(), 0)
-		return res, nil
-	}
-	queries := frame
-	if p.cfg.EstimateMotion {
-		res.Motion = EstimateMotion(p.index, frame, p.cfg.ICP)
-		queries = res.Motion.Motion.ApplyAll(frame)
+		res.Neighbors = neighbors
+		searchSec = sw.Seconds()
 	}
 	sw := obs.StartStopwatch()
-	neighbors, err := p.index.QueryBatch(ctx, queries,
-		QueryOptions{K: p.cfg.K, Workers: p.cfg.Workers})
+	var next *Index
+	var err error
+	if p.index == nil {
+		next, err = BuildIndex(frame,
+			WithBucketSize(p.cfg.BucketSize), WithSeed(p.cfg.Seed),
+			WithParallelism(p.cfg.IngestWorkers))
+	} else {
+		next, err = p.index.Advance(frame, p.cfg.Mode)
+	}
 	if err != nil {
 		return FrameResult{}, err
 	}
-	res.Neighbors = neighbors
-	searchSec := sw.Seconds()
-	sw = obs.StartStopwatch()
-	if err := p.advance(frame); err != nil {
-		return FrameResult{}, err
-	}
+	p.index = next
 	p.count++
-	res.IndexStats = p.index.Stats()
+	res.IndexStats = next.Stats()
 	p.record(frame, sw.Seconds(), searchSec)
 	return res, nil
 }
@@ -179,32 +182,7 @@ func (p *Pipeline) record(frame []Point, buildSec, searchSec float64) {
 			"Software search throughput of the latest frame.").With().
 			Set(float64(len(frame)) / searchSec)
 	}
-	// Per-phase ingest breakdown of the frame advance (docs/performance.md).
-	// Only phases that actually ran are observed so the histograms stay
-	// free of structural zeros (e.g. Splits is zero for every incremental
-	// update).
-	ing := p.index.IngestTiming()
-	for _, ph := range [...]struct {
-		name string
-		sec  float64
-	}{
-		{"splits", ing.SplitsSeconds},
-		{"plan", ing.PlanSeconds},
-		{"scatter", ing.ScatterSeconds},
-		{"place", ing.PlaceSeconds},
-		{"rebalance", ing.RebalanceSeconds},
-	} {
-		if ph.sec > 0 {
-			reg.Histogram("quicknn_ingest_phase_seconds",
-				"Host wall seconds per ingest phase of the latest frame advance.",
-				obs.TimeBuckets(), "phase").With(ph.name).Observe(ph.sec)
-		}
-	}
-	if ing.Workers > 0 {
-		reg.Gauge("quicknn_ingest_workers",
-			"Ingest worker count used by the latest frame advance.").With().
-			Set(float64(ing.Workers))
-	}
+	p.index.IngestTiming().Publish(reg)
 
 	st := p.index.Stats()
 	reg.Gauge("quicknn_pipeline_tree_depth",
@@ -230,26 +208,4 @@ func (p *Pipeline) record(frame []Point, buildSec, searchSec float64) {
 		Total:   buildSec + searchSec,
 		Outcome: obs.OutcomeOK,
 	})
-}
-
-// advance moves the index to the new frame per the maintenance mode,
-// building it on the first frame. On error the index stays on the
-// previous frame.
-func (p *Pipeline) advance(frame []Point) error {
-	if p.index != nil {
-		switch p.cfg.Mode {
-		case qsim.ModeStatic:
-			return p.index.UpdateStatic(frame)
-		case qsim.ModeIncremental:
-			return p.index.Update(frame)
-		}
-	}
-	ix, err := BuildIndex(frame,
-		WithBucketSize(p.cfg.BucketSize), WithSeed(p.cfg.Seed),
-		WithParallelism(p.cfg.IngestWorkers))
-	if err != nil {
-		return err
-	}
-	p.index = ix
-	return nil
 }

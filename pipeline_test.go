@@ -94,3 +94,37 @@ func TestPipelineMotionCompensation(t *testing.T) {
 		t.Errorf("compensation did not help: median %.3f vs %.3f", mComp, mPlain)
 	}
 }
+
+// TestPipelineIndexKeepsItsFrame checks that an Index handed out by
+// Pipeline.Index goes on answering for its own frame after the pipeline
+// has advanced past it, in every tree mode.
+func TestPipelineIndexKeepsItsFrame(t *testing.T) {
+	frames := SyntheticFrames(3000, 4, 64)
+	for _, mode := range []TreeMode{ModeRebuild, ModeStatic, ModeIncremental} {
+		p := NewPipeline(PipelineConfig{K: 4, Mode: mode})
+		p.Process(frames[0])
+		first := p.Index()
+		for _, f := range frames[1:] {
+			p.Process(f)
+		}
+		if p.Index() == first {
+			t.Fatalf("%v: the pipeline still holds its first index", mode)
+		}
+		pts := first.Points()
+		if len(pts) != len(frames[0]) {
+			t.Fatalf("%v: first index holds %d points, want %d", mode, len(pts), len(frames[0]))
+		}
+		for i, q := range frames[0] {
+			if pts[i] != q {
+				t.Fatalf("%v: first index point %d = %v, want %v", mode, i, pts[i], q)
+			}
+			if i%97 != 0 {
+				continue
+			}
+			res := mustQuery(t, first, q, QueryOptions{K: 1, Mode: ModeExact})
+			if len(res) == 0 || res[0].DistSq != 0 {
+				t.Fatalf("%v: first index lost frame-0 point %d: %+v", mode, i, res)
+			}
+		}
+	}
+}

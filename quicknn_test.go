@@ -89,7 +89,8 @@ func TestIndexUpdateModes(t *testing.T) {
 		if err := incr.Update(f); err != nil {
 			t.Fatal(err)
 		}
-		if err := static.UpdateStatic(f); err != nil {
+		var err error
+		if static, err = static.Advance(f, ModeStatic); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,5 +238,62 @@ func TestSearchChecksFacade(t *testing.T) {
 	}
 	if hitsBig < 95 {
 		t.Errorf("checks=2000 of 4000 points should be near-exact: %d/100", hitsBig)
+	}
+}
+
+// TestIndexKeepsNoReferenceToInput overwrites the slice handed to
+// BuildIndex, Update or Advance after the call: the index stores each
+// point once, in its own arena, so neither its answers nor Points may
+// change.
+func TestIndexKeepsNoReferenceToInput(t *testing.T) {
+	frames := SyntheticFrames(3000, 2, 65)
+	queries := frames[1][:200]
+	exact := QueryOptions{K: 4, Mode: ModeExact}
+	for name, ingest := range map[string]func(in []Point) *Index{
+		"BuildIndex": func(in []Point) *Index { return mustIndex(t, in) },
+		"Update": func(in []Point) *Index {
+			ix := mustIndex(t, frames[0])
+			if err := ix.Update(in); err != nil {
+				t.Fatal(err)
+			}
+			return ix
+		},
+		"Advance/rebuild":     advanceFrom(t, frames[0], ModeRebuild),
+		"Advance/static":      advanceFrom(t, frames[0], ModeStatic),
+		"Advance/incremental": advanceFrom(t, frames[0], ModeIncremental),
+	} {
+		in := append([]Point(nil), frames[1]...)
+		ix := ingest(in)
+		want := mustQueryBatch(t, ix, queries, exact)
+		for i := range in {
+			in[i] = Point{X: 1e6, Y: -1e6, Z: float32(i)}
+		}
+		pts := ix.Points()
+		for i, p := range frames[1] {
+			if pts[i] != p {
+				t.Fatalf("%s: Points()[%d] = %v after the input was overwritten, want %v", name, i, pts[i], p)
+			}
+		}
+		got := mustQueryBatch(t, ix, queries, exact)
+		for qi := range want {
+			for i := range want[qi] {
+				if got[qi][i] != want[qi][i] {
+					t.Fatalf("%s: query %d neighbor %d = %+v after the input was overwritten, want %+v",
+						name, qi, i, got[qi][i], want[qi][i])
+				}
+			}
+		}
+	}
+}
+
+// advanceFrom returns an ingest that advances an index over prev to its
+// input under mode.
+func advanceFrom(t *testing.T, prev []Point, mode TreeMode) func([]Point) *Index {
+	return func(in []Point) *Index {
+		ix, err := mustIndex(t, prev).Advance(in, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
 	}
 }

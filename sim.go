@@ -20,7 +20,11 @@ type SimConfig = qsim.Config
 // neighbor lists.
 type SimReport = qsim.Report
 
-// Tree maintenance modes for SimConfig.Mode.
+// TreeMode selects how the tree follows each frame (§4.4 of the paper),
+// in Index.Advance, PipelineConfig.Mode and SimConfig.Mode.
+type TreeMode = qsim.TreeMode
+
+// Tree maintenance modes.
 const (
 	ModeRebuild     = qsim.ModeRebuild
 	ModeStatic      = qsim.ModeStatic
